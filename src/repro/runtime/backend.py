@@ -20,20 +20,35 @@ uses to unlink its shared-memory segment.  A backend returns one
 step's metrics, its priced work, and an optional ``backend_info`` dict
 surfaced in :class:`~repro.runtime.driver.StepReport` for reporting
 (real wall time, partition quality, shared-segment size).
+
+**One step planner.**  Whether a step counts instead of enumerating is
+decided here, once, for every backend.  Each backend builds a probe
+strategy and calls :func:`plan_step` with the reason its configuration
+requires enumeration (fault injection, partitioned storage) or
+``None``; the returned :class:`StepPlan` is ``"decomposed"``
+(core–fringe inclusion–exclusion), ``"orbit"`` (orbit-multiplicity bulk
+counting) or ``"enumerate"``, and carries the ``kernel_info`` decision
+records and the ``decomp_fallbacks`` booking.  :func:`run_counting`
+executes a counting plan over round-robin root chunks and quarantines a
+:class:`~repro.pattern.decompose.DecompositionError` to the plan's
+fallback.  The backends differ only in how they price the chunks: the
+sequential and multiprocess backends pass one chunk and price the
+total; the simulator passes one chunk per core and prices the busiest.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.aggregation import AggregationStorage
 from ..core.computation import Computation
-from ..core.primitives import Primitive
+from ..core.primitives import Expand, Primitive
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
+from ..pattern import decompose
 from ..pattern.pattern import PatternInterner
 from .cluster import ClusterConfig, ClusterEngine, ClusterStepResult
 from .costmodel import DEFAULT_COST_MODEL, CostModel
@@ -45,41 +60,265 @@ __all__ = [
     "SequentialBackend",
     "SimulatorBackend",
     "StepOutcome",
-    "plan_orbit_count",
+    "StepPlan",
+    "plan_step",
     "resolve_backend",
+    "run_counting",
+    "run_in_process",
 ]
 
+#: ``backend_info`` flag naming each counting plan kind.
+COUNTED_FLAGS = {"decomposed": "decomposed", "orbit": "orbit_counted"}
 
-def plan_orbit_count(strategy, primitives, collect, root_words):
-    """Decide whether a step may run via orbit-multiplicity counting.
+#: Why a step over partitioned storage must enumerate.
+PARTITIONED_REASON = (
+    "partitioned storage configured (fetch metering needs per-word pushes)"
+)
 
-    Returns ``(eligible, info)``.  ``info`` is ``None`` for strategies
-    without the capability (vertex/edge-induced, legacy kernel, or the
-    global switch off); otherwise a dict for ``kernel_info["orbit_count"]``
-    recording the decision.  Eligible steps are pure full-pattern
-    expansions collected as a bare count — exactly the shape where the
-    per-embedding sink is a no-op and only the total matters, so
-    enumerating one representative per orbit tail and multiplying is
-    observably identical.
+
+@dataclass
+class StepPlan:
+    """How one fractal step runs: counted or enumerated.
+
+    ``kind`` is ``"decomposed"``, ``"orbit"`` or ``"enumerate"``.
+    ``kernel_info`` is the probe strategy's kernel description with the
+    ``"decomposition"`` and ``"orbit_count"`` decision records filled
+    in; ``booked`` holds the ``decomp_fallbacks`` (and, after a
+    quarantine, wasted-work) counters the backend merges into the
+    step's metrics.
+    """
+
+    kind: str
+    kernel_info: Optional[Dict[str, object]]
+    booked: Metrics = field(default_factory=Metrics)
+    decomposition: Optional[decompose.DecompositionPlan] = None
+    # ``(kernel_info["orbit_count"] record, level-0 root label)``, or
+    # ``None`` when the orbit path was not considered.
+    orbit: Optional[Tuple[Dict[str, object], int]] = None
+
+    def record(self, key: str, info: Dict[str, object]) -> None:
+        if self.kernel_info is not None:
+            self.kernel_info[key] = info
+
+    def fall_back(self) -> None:
+        """Drop to the orbit count if the step qualifies, else enumerate."""
+        self.kind = "enumerate"
+        if self.orbit is not None:
+            info, _ = self.orbit
+            self.record("orbit_count", info)
+            if info["executed"]:
+                self.kind = "orbit"
+
+    def root_label(self) -> int:
+        if self.kind == "decomposed":
+            return self.decomposition.core_labels[0]
+        return self.orbit[1]
+
+
+def _plan_orbit(strategy, primitives, collect, root_words):
+    """The orbit-count decision, or ``None`` without the capability.
+
+    Strategies without it (vertex/edge-induced, legacy kernel, or the
+    global switch off) are never considered.  Eligible steps are pure
+    full-pattern expansions collected as a bare count — exactly the
+    shape where the per-embedding sink is a no-op and only the total
+    matters, so enumerating one representative per orbit tail and
+    multiplying is observably identical.
     """
     supports = getattr(strategy, "supports_orbit_count", None)
     if supports is None or not supports():
-        return False, None
-    from ..core.primitives import Expand
-
+        return None
     if collect != "count":
-        return False, {"executed": False, "reason": "step is not a pure count"}
-    if root_words is not None:
-        return False, {"executed": False, "reason": "step has explicit roots"}
-    if len(primitives) != strategy.pattern.n_vertices or not all(
+        reason = "step is not a pure count"
+    elif root_words is not None:
+        reason = "step has explicit roots"
+    elif len(primitives) != strategy.pattern.n_vertices or not all(
         isinstance(p, Expand) for p in primitives
     ):
-        return False, {
-            "executed": False,
-            "reason": "step is not a pure full-pattern expansion",
-        }
-    tail, arrangements = strategy.orbit_tail()
-    return True, {"executed": True, "tail": tail, "arrangements": arrangements}
+        reason = "step is not a pure full-pattern expansion"
+    else:
+        tail, arrangements = strategy.orbit_tail()
+        root_label = strategy.pattern.vertex_labels[strategy.order[0]]
+        info = {"executed": True, "tail": tail, "arrangements": arrangements}
+        return info, root_label
+    return {"executed": False, "reason": reason}, None
+
+
+def plan_step(
+    probe,
+    graph: Graph,
+    primitives: Sequence[Primitive],
+    collect: Optional[str],
+    root_words: Optional[List[int]],
+    cost_model: CostModel,
+    enumeration_reason: Optional[str] = None,
+) -> StepPlan:
+    """Decide how a step runs: decomposed count, orbit count or enumeration.
+
+    ``probe`` is a strategy configured exactly like the ones the backend
+    runs.  ``enumeration_reason`` is the backend's own reason the step
+    must enumerate (fault injection, partitioned storage) or ``None``;
+    when set, neither counting path is planned and a requested
+    decomposition records that reason.  The decomposition gate and
+    chooser (:func:`~repro.pattern.decompose.plan_step_decomposition`)
+    run first; a step they turn down books one ``decomp_fallbacks`` and
+    falls back to the orbit count if it qualifies.
+    """
+    plan = StepPlan("enumerate", probe.kernel_info())
+    if enumeration_reason is None:
+        plan.orbit = _plan_orbit(probe, primitives, collect, root_words)
+    if probe.wants_decomposed_count():
+        if enumeration_reason is None:
+            decomposition, info = decompose.plan_step_decomposition(
+                probe.pattern, graph, primitives, collect, root_words, cost_model
+            )
+        else:
+            decomposition = None
+            info = decompose.fallback_info(enumeration_reason)
+        plan.record("decomposition", info)
+        if decomposition is not None:
+            plan.kind = "decomposed"
+            plan.decomposition = decomposition
+            return plan
+        plan.booked.decomp_fallbacks += 1
+    plan.fall_back()
+    return plan
+
+
+def _count_chunks(
+    plan: StepPlan,
+    graph: Graph,
+    n_chunks: int,
+    cost_model: CostModel,
+    strategy_for: Callable[[Metrics], object],
+) -> Tuple[Metrics, List[float]]:
+    # The root listing is metered once, with the counters the level-0
+    # candidate call of the sequential kernel would book, so merged
+    # totals do not depend on the chunk count.
+    metrics = Metrics()
+    metrics.index_slices += 1
+    roots = graph.vertices_with_label(plan.root_label())
+    metrics.extension_tests += len(roots)
+    if plan.kind == "orbit":
+        metrics.extensions_generated += len(roots)
+    raw = 0
+    chunk_units: List[float] = []
+    for i in range(n_chunks):
+        chunk = roots[i::n_chunks]
+        if not chunk:
+            continue
+        chunk_metrics = Metrics()
+        if plan.kind == "decomposed":
+            raw += decompose.count_embeddings(
+                plan.decomposition,
+                graph,
+                chunk_metrics,
+                roots=chunk,
+                crossover=cost_model.gallop_crossover,
+            )
+        else:
+            raw += strategy_for(chunk_metrics).count_matches(roots=chunk)
+        chunk_units.append(cost_model.step_units(chunk_metrics))
+        metrics.merge(chunk_metrics)
+    if plan.kind == "decomposed":
+        # Per-chunk raw totals need not be divisible by the plan's
+        # multiplicity; divide only after the merge.
+        try:
+            raw = decompose.instance_count(plan.decomposition, raw)
+        except decompose.DecompositionError as exc:
+            exc.wasted_extension_tests = metrics.extension_tests
+            exc.wasted_units = cost_model.step_units(metrics)
+            raise
+    metrics.results_emitted = raw
+    return metrics, chunk_units
+
+
+def run_counting(
+    plan: StepPlan,
+    graph: Graph,
+    n_chunks: int,
+    cost_model: CostModel,
+    strategy_for: Callable[[Metrics], object],
+    reraise: bool = False,
+) -> Optional[Tuple[Metrics, List[float]]]:
+    """Execute a counting plan over ``n_chunks`` round-robin root chunks.
+
+    Returns the merged metrics (``results_emitted`` holds the exact
+    count) and each non-empty chunk's priced units, or ``None`` when the
+    plan enumerates.  No sink runs (a counting sink is a no-op by
+    contract) and no aggregation storages exist.  ``strategy_for``
+    builds a configured strategy metering into the given bundle; the
+    orbit count runs one per chunk.
+
+    If the decomposed multiplicity arithmetic trips
+    (:class:`~repro.pattern.decompose.DecompositionError`), the step is
+    quarantined: the walked work is booked as wasted on
+    ``plan.booked``, the decision record names the error, and the plan
+    falls back to the orbit count or to enumeration — which needs no
+    multiplicity arithmetic at all.  ``reraise`` raises instead.
+    """
+    if plan.kind == "decomposed":
+        try:
+            return _count_chunks(plan, graph, n_chunks, cost_model, strategy_for)
+        except decompose.DecompositionError as exc:
+            if reraise:
+                raise
+            warnings.warn(str(exc), RuntimeWarning, stacklevel=3)
+            plan.record(
+                "decomposition", decompose.fallback_info(f"quarantined: {exc}")
+            )
+            plan.booked.wasted_extension_tests += exc.wasted_extension_tests
+            plan.booked.wasted_work_units += exc.wasted_units
+            plan.booked.decomp_fallbacks += 1
+            plan.fall_back()
+    if plan.kind == "orbit":
+        return _count_chunks(plan, graph, n_chunks, cost_model, strategy_for)
+    return None
+
+
+def run_in_process(
+    strategy,
+    metrics: Metrics,
+    plan: StepPlan,
+    counted: Optional[Tuple[Metrics, List[float]]],
+    graph: Graph,
+    interner: PatternInterner,
+    primitives: Sequence[Primitive],
+    aggregation_views,
+    cached_uids,
+    sink,
+    root_words,
+    cost_model: CostModel,
+) -> "StepOutcome":
+    """Finish a step on the calling process and price the total.
+
+    ``metrics`` is the bundle ``strategy`` meters into, with the plan's
+    booking already merged.  A counted step merges its counted metrics;
+    otherwise the step enumerates depth-first with the driver-provided
+    sink.  Shared by the sequential backend and the multiprocess
+    backend's in-driver steps.
+    """
+    storages: Dict[int, AggregationStorage] = {}
+    if counted is not None:
+        metrics.merge(counted[0])
+    else:
+        computation = Computation(graph, metrics, interner, aggregation_views)
+        storages = run_step_sequential(
+            strategy,
+            primitives,
+            computation,
+            cached_uids,
+            sink=sink,
+            root_words=root_words,
+        )
+    units = cost_model.step_units(metrics)
+    return StepOutcome(
+        storages=storages,
+        metrics=metrics,
+        work_units=units,
+        simulated_seconds=cost_model.seconds(units),
+        kernel_info=plan.kernel_info,
+    )
 
 
 @dataclass
@@ -157,136 +396,36 @@ class SequentialBackend(ExecutionBackend):
         root_words=None,
         collect=None,
     ) -> StepOutcome:
+        cost = self.cost_model
+
+        def new_strategy(metrics: Metrics):
+            strategy = strategy_factory(graph, metrics, interner)
+            strategy.configure_kernel(gallop_crossover=cost.gallop_crossover)
+            return strategy
+
         metrics = Metrics()
-        strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            gallop_crossover=self.cost_model.gallop_crossover
-        )
-        kernel_info = strategy.kernel_info()
-        if strategy.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
-            )
-
-            plan, decomp_info = plan_step_decomposition(
-                strategy.pattern,
-                graph,
-                primitives,
-                collect,
-                root_words,
-                self.cost_model,
-            )
-            if kernel_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            if plan is not None:
-                try:
-                    return self._run_decomposed(
-                        graph, plan, metrics, kernel_info
-                    )
-                except DecompositionError as exc:
-                    # Quarantine: the plan's multiplicity bookkeeping is
-                    # inconsistent — fall back to plain enumeration, which
-                    # needs no multiplicity arithmetic at all.
-                    warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                    if kernel_info is not None:
-                        kernel_info["decomposition"] = fallback_info(
-                            f"quarantined: {exc}"
-                        )
-            else:
-                metrics.decomp_fallbacks += 1
-        orbit_ok, orbit_info = plan_orbit_count(
-            strategy, primitives, collect, root_words
-        )
-        if kernel_info is not None and orbit_info is not None:
-            kernel_info["orbit_count"] = orbit_info
-        if orbit_ok:
-            return self._run_orbit_count(strategy, metrics, kernel_info)
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        storages = run_step_sequential(
+        strategy = new_strategy(metrics)
+        plan = plan_step(strategy, graph, primitives, collect, root_words, cost)
+        counted = run_counting(plan, graph, 1, cost, new_strategy)
+        metrics.merge(plan.booked)
+        outcome = run_in_process(
             strategy,
-            primitives,
-            computation,
-            cached_uids,
-            sink=sink,
-            root_words=root_words,
-        )
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages=storages,
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name},
-        )
-
-    def _run_decomposed(
-        self, graph, plan, metrics: Metrics, kernel_info
-    ) -> StepOutcome:
-        """Counting-only step via the core–fringe inclusion–exclusion plan.
-
-        No sink runs (a counting sink is a no-op by contract) and no
-        aggregation storages exist — the step is a pure count, surfaced
-        through ``metrics.results_emitted`` like any counting step.
-
-        The core walk is metered into a scratch bundle first: if the
-        multiplicity arithmetic trips
-        (:class:`~repro.pattern.decompose.DecompositionError`), the
-        walked work is booked as *wasted* on ``metrics`` and the error
-        propagates so the caller can quarantine the step to enumeration.
-        """
-        from ..pattern.decompose import (
-            DecompositionError,
-            count_embeddings,
-            instance_count,
-        )
-
-        scratch = Metrics()
-        raw = count_embeddings(
+            metrics,
             plan,
+            counted,
             graph,
-            scratch,
-            crossover=self.cost_model.gallop_crossover,
+            interner,
+            primitives,
+            aggregation_views,
+            cached_uids,
+            sink,
+            root_words,
+            cost,
         )
-        try:
-            count = instance_count(plan, raw)
-        except DecompositionError:
-            metrics.wasted_extension_tests += scratch.extension_tests
-            metrics.wasted_work_units += self.cost_model.step_units(scratch)
-            metrics.decomp_fallbacks += 1
-            raise
-        metrics.merge(scratch)
-        metrics.results_emitted = count
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name, "decomposed": True},
-        )
-
-    def _run_orbit_count(
-        self, strategy, metrics: Metrics, kernel_info
-    ) -> StepOutcome:
-        """Counting-only step via orbit-multiplicity bulk counting.
-
-        Same contract as :meth:`_run_decomposed`: no sink, no storages,
-        the exact count lands in ``metrics.results_emitted``.
-        """
-        metrics.results_emitted = strategy.count_matches()
-        units = self.cost_model.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=self.cost_model.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={"backend": self.name, "orbit_counted": True},
-        )
+        outcome.backend_info = {"backend": self.name}
+        if plan.kind != "enumerate":
+            outcome.backend_info[COUNTED_FLAGS[plan.kind]] = True
+        return outcome
 
 
 class SimulatorBackend(ExecutionBackend):
@@ -310,68 +449,55 @@ class SimulatorBackend(ExecutionBackend):
         root_words=None,
         collect=None,
     ) -> StepOutcome:
-        decomp_info = None
-        quarantined = None
-        probe = strategy_factory(graph, Metrics(), interner)
-        probe.configure_kernel(
-            self.config.pattern_kernel,
-            self.config.order_policy,
-            self.config.cost_model.gallop_crossover,
-        )
-        fault_free = (
-            self.config.fault_plan is None
-            and not self.config.fail_at
-            and self.config.partition is None
-        )
-        if probe.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
-            )
+        config = self.config
+        cost = config.cost_model
 
-            if self.config.fault_plan is not None or self.config.fail_at:
-                decomp_info = fallback_info(
-                    "fault injection configured (recovery needs enumerators)"
-                )
-            elif self.config.partition is not None:
-                decomp_info = fallback_info(
-                    "partitioned storage configured (fetch metering "
-                    "needs per-word pushes)"
-                )
-            else:
-                plan, decomp_info = plan_step_decomposition(
-                    probe.pattern,
-                    graph,
-                    primitives,
-                    collect,
-                    root_words,
-                    self.config.cost_model,
-                )
-                if plan is not None:
-                    try:
-                        return self._run_decomposed(
-                            graph, plan, probe, decomp_info
-                        )
-                    except DecompositionError as exc:
-                        warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                        decomp_info = fallback_info(f"quarantined: {exc}")
-                        quarantined = exc
-        orbit_info = None
-        if fault_free:
-            orbit_ok, orbit_info = plan_orbit_count(
-                probe, primitives, collect, root_words
+        def new_strategy(metrics: Metrics):
+            strategy = strategy_factory(graph, metrics, interner)
+            strategy.configure_kernel(
+                config.pattern_kernel, config.order_policy, cost.gallop_crossover
             )
-            if orbit_ok:
-                return self._run_orbit_count(
-                    graph,
-                    strategy_factory,
-                    interner,
-                    probe,
-                    orbit_info,
-                    decomp_info,
-                    quarantined,
-                )
+            return strategy
+
+        if config.fault_plan is not None or config.fail_at:
+            reason = "fault injection configured (recovery needs enumerators)"
+        elif config.partition is not None:
+            reason = PARTITIONED_REASON
+        else:
+            reason = None
+        plan = plan_step(
+            new_strategy(Metrics()),
+            graph,
+            primitives,
+            collect,
+            root_words,
+            cost,
+            reason,
+        )
+        # Counting plans split their roots round-robin across the
+        # configured cores — the same unit the engine distributes — and
+        # the simulated makespan is the busiest core.
+        counted = run_counting(
+            plan, graph, config.total_cores, cost, new_strategy
+        )
+        info: Dict[str, object] = {
+            "backend": self.name,
+            "workers": config.workers,
+            "cores_per_worker": config.cores_per_worker,
+        }
+        if counted is not None:
+            metrics, chunk_units = counted
+            metrics.merge(plan.booked)
+            makespan_units = max(chunk_units, default=0.0)
+            info[COUNTED_FLAGS[plan.kind]] = True
+            return StepOutcome(
+                storages={},
+                metrics=metrics,
+                work_units=makespan_units,
+                simulated_seconds=cost.seconds(makespan_units),
+                kernel_info=plan.kernel_info,
+                backend_info=info,
+            )
         result = self._engine.run_step(
             graph,
             strategy_factory,
@@ -382,174 +508,17 @@ class SimulatorBackend(ExecutionBackend):
             sink=sink,
             root_words=root_words,
         )
-        info: Dict[str, object] = {
-            "backend": self.name,
-            "workers": self.config.workers,
-            "cores_per_worker": self.config.cores_per_worker,
-        }
+        result.metrics.merge(plan.booked)
         if result.partition_info is not None:
             info["partition"] = result.partition_info
-        kernel_info = result.kernel_info
-        if decomp_info is not None:
-            result.metrics.decomp_fallbacks += 1
-            if kernel_info is not None:
-                kernel_info = dict(kernel_info)
-                kernel_info["decomposition"] = decomp_info
-        if quarantined is not None:
-            result.metrics.wasted_extension_tests += (
-                quarantined.wasted_extension_tests
-            )
-            result.metrics.wasted_work_units += quarantined.wasted_units
-        if orbit_info is not None:
-            if kernel_info is not None:
-                kernel_info = dict(kernel_info)
-                kernel_info["orbit_count"] = orbit_info
         return StepOutcome(
             storages=result.storages,
             metrics=result.metrics,
             work_units=result.makespan_units,
             simulated_seconds=result.makespan_seconds,
             cluster=result,
-            kernel_info=kernel_info,
+            kernel_info=plan.kernel_info,
             backend_info=info,
-        )
-
-    def _run_decomposed(
-        self, graph, plan, probe, decomp_info
-    ) -> StepOutcome:
-        """Simulated-cluster execution of a decomposed counting step.
-
-        Core roots (position-0 candidates) split round-robin across the
-        configured cores — the same unit the engine distributes — and
-        each core's metered work is priced independently; the simulated
-        makespan is the busiest core.  Raw embedding subtotals are only
-        divided by the plan's multiplicity after merging (per-chunk
-        subtotals need not be divisible).  If the multiplicity
-        arithmetic trips, the walked work is attached to the raised
-        :class:`~repro.pattern.decompose.DecompositionError` so the
-        caller can book it as wasted on the quarantined enumeration run.
-        """
-        from ..pattern.decompose import count_embeddings, instance_count
-
-        cost = self.config.cost_model
-        n_cores = self.config.workers * self.config.cores_per_worker
-        setup_metrics = Metrics()
-        setup_metrics.index_slices += 1
-        roots = graph.vertices_with_label(plan.core_labels[0])
-        setup_metrics.extension_tests += len(roots)
-        total_raw = 0
-        makespan_units = 0.0
-        merged = Metrics()
-        merged.merge(setup_metrics)
-        for core_id in range(n_cores):
-            chunk = roots[core_id::n_cores]
-            if not chunk:
-                continue
-            core_metrics = Metrics()
-            total_raw += count_embeddings(
-                plan,
-                graph,
-                core_metrics,
-                roots=chunk,
-                crossover=cost.gallop_crossover,
-            )
-            busy = cost.step_units(core_metrics)
-            if busy > makespan_units:
-                makespan_units = busy
-            merged.merge(core_metrics)
-        try:
-            merged.results_emitted = instance_count(plan, total_raw)
-        except Exception as exc:
-            if hasattr(exc, "wasted_extension_tests"):
-                exc.wasted_extension_tests = merged.extension_tests
-                exc.wasted_units = cost.step_units(merged)
-            raise
-        kernel_info = probe.kernel_info()
-        if kernel_info is not None:
-            kernel_info["decomposition"] = decomp_info
-        return StepOutcome(
-            storages={},
-            metrics=merged,
-            work_units=makespan_units,
-            simulated_seconds=cost.seconds(makespan_units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "workers": self.config.workers,
-                "cores_per_worker": self.config.cores_per_worker,
-                "decomposed": True,
-            },
-        )
-
-    def _run_orbit_count(
-        self,
-        graph,
-        strategy_factory,
-        interner,
-        probe,
-        orbit_info,
-        decomp_info,
-        quarantined,
-    ) -> StepOutcome:
-        """Simulated-cluster execution of an orbit-multiplicity count.
-
-        Level-0 candidates (matching-order roots) split round-robin
-        across the configured cores exactly like the decomposed path;
-        the root listing is metered once in setup with the same counters
-        the sequential kernel's level-0 ``extensions`` call would book,
-        so merged counter totals match the sequential engine's exactly.
-        """
-        cost = self.config.cost_model
-        n_cores = self.config.workers * self.config.cores_per_worker
-        setup_metrics = Metrics()
-        setup_metrics.index_slices += 1
-        root_label = probe.pattern.vertex_labels[probe.order[0]]
-        roots = graph.vertices_with_label(root_label)
-        setup_metrics.extension_tests += len(roots)
-        setup_metrics.extensions_generated += len(roots)
-        total = 0
-        makespan_units = 0.0
-        merged = Metrics()
-        merged.merge(setup_metrics)
-        for core_id in range(n_cores):
-            chunk = roots[core_id::n_cores]
-            if not chunk:
-                continue
-            core_metrics = Metrics()
-            strategy = strategy_factory(graph, core_metrics, interner)
-            strategy.configure_kernel(
-                self.config.pattern_kernel,
-                self.config.order_policy,
-                cost.gallop_crossover,
-            )
-            total += strategy.count_matches(roots=chunk)
-            busy = cost.step_units(core_metrics)
-            if busy > makespan_units:
-                makespan_units = busy
-            merged.merge(core_metrics)
-        merged.results_emitted = total
-        if decomp_info is not None:
-            merged.decomp_fallbacks += 1
-        if quarantined is not None:
-            merged.wasted_extension_tests += quarantined.wasted_extension_tests
-            merged.wasted_work_units += quarantined.wasted_units
-        kernel_info = probe.kernel_info()
-        if kernel_info is not None:
-            if decomp_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            kernel_info["orbit_count"] = orbit_info
-        return StepOutcome(
-            storages={},
-            metrics=merged,
-            work_units=makespan_units,
-            simulated_seconds=cost.seconds(makespan_units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "workers": self.config.workers,
-                "cores_per_worker": self.config.cores_per_worker,
-                "orbit_counted": True,
-            },
         )
 
     def setup_seconds(self) -> float:

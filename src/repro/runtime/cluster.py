@@ -50,7 +50,12 @@ from ..core.aggregation import (
     stable_partition,
 )
 from ..core.computation import Computation
-from ..core.enumerator import ExtensionStrategy, SubgraphEnumerator
+from ..core.enumerator import (
+    ExtensionStrategy,
+    SubgraphEnumerator,
+    _check_kernel,
+    _check_policy,
+)
 from ..core.primitives import (
     AggregationFilter,
     Expand,
@@ -247,16 +252,9 @@ class ClusterConfig:
             raise ValueError(
                 f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
             )
-        if self.pattern_kernel not in ("legacy", "indexed", "decomposed"):
-            raise ValueError(
-                f"pattern_kernel must be 'legacy', 'indexed' or "
-                f"'decomposed', got {self.pattern_kernel!r}"
-            )
-        if self.order_policy not in (None, "legacy", "cost"):
-            raise ValueError(
-                f"order_policy must be None, 'legacy' or 'cost', "
-                f"got {self.order_policy!r}"
-            )
+        _check_kernel(self.pattern_kernel)
+        if self.order_policy is not None:
+            _check_policy(self.order_policy)
         if self.agg_entry_budget is not None and self.agg_entry_budget < 1:
             raise ValueError("agg_entry_budget must be >= 1 (or None)")
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:

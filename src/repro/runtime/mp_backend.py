@@ -100,13 +100,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.aggregation import merge_storages_streaming
 from ..core.computation import Computation
+from ..core.enumerator import _check_kernel, _check_policy
 from ..core.primitives import Expand, Primitive
 from ..core.subgraph import SubgraphResult
 from ..graph.graph import Graph
 from ..graph.partition import PARTITION_STRATEGIES, partition_graph
 from ..graph.shm import SharedGraphBuffers
 from ..pattern.pattern import PatternInterner
-from .backend import ExecutionBackend, StepOutcome, plan_orbit_count
+from .backend import (
+    COUNTED_FLAGS,
+    PARTITIONED_REASON,
+    ExecutionBackend,
+    StepOutcome,
+    plan_step,
+    run_counting,
+    run_in_process,
+)
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages, run_step_sequential
 from .faults import FaultPlan
@@ -177,16 +186,9 @@ class MultiprocessConfig:
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
                 f"got {self.partition!r}"
             )
-        if self.pattern_kernel not in ("legacy", "indexed", "decomposed"):
-            raise ValueError(
-                f"pattern_kernel must be 'legacy', 'indexed' or "
-                f"'decomposed', got {self.pattern_kernel!r}"
-            )
-        if self.order_policy not in (None, "legacy", "cost"):
-            raise ValueError(
-                f"order_policy must be None, 'legacy' or 'cost', "
-                f"got {self.order_policy!r}"
-            )
+        _check_kernel(self.pattern_kernel)
+        if self.order_policy is not None:
+            _check_policy(self.order_policy)
         if not self.worker_timeout > 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout!r}"
@@ -266,101 +268,77 @@ class MultiprocessBackend(ExecutionBackend):
         cost = config.cost_model
         started = time.perf_counter()
 
-        first_expand = next(
-            (i for i, p in enumerate(primitives) if isinstance(p, Expand)), None
-        )
+        def new_strategy(metrics: Metrics):
+            strategy = strategy_factory(graph, metrics, interner)
+            strategy.configure_kernel(
+                config.pattern_kernel, config.order_policy, cost.gallop_crossover
+            )
+            return strategy
+
         # Root probing is setup (as in the simulator's _distribute_roots):
         # metered separately, merged into the step totals at the end, so
         # counter totals match the sequential engine's exactly.
         setup_metrics = Metrics()
-        parent_strategy = strategy_factory(graph, setup_metrics, interner)
-        parent_strategy.configure_kernel(
-            config.pattern_kernel, config.order_policy, cost.gallop_crossover
+        parent_strategy = new_strategy(setup_metrics)
+        if config.fault_plan is not None:
+            reason = (
+                "mp fault plan configured (fault injection needs "
+                "worker enumeration)"
+            )
+        elif config.partition is not None:
+            reason = PARTITIONED_REASON
+        else:
+            reason = None
+        plan = plan_step(
+            parent_strategy, graph, primitives, collect, root_words, cost, reason
         )
-        kernel_info = parent_strategy.kernel_info()
+        # Counting plans run in the driver, not in workers: the collapsed
+        # walks are far below the fork/shared-memory setup cost the
+        # worker fleet would have to amortize.  A tripped decomposition
+        # is quarantined under degrade="auto"; degrade="never" asks for
+        # hard failures instead.
+        counted = run_counting(
+            plan,
+            graph,
+            1,
+            cost,
+            new_strategy,
+            reraise=config.degrade == "never",
+        )
+        setup_metrics.merge(plan.booked)
 
-        if parent_strategy.wants_decomposed_count():
-            from ..pattern.decompose import (
-                DecompositionError,
-                fallback_info,
-                plan_step_decomposition,
-            )
-
-            decomposed_plan = None
-            if config.fault_plan is not None:
-                decomp_info = fallback_info(
-                    "mp fault plan configured (fault injection needs "
-                    "worker enumeration)"
-                )
-            elif config.partition is not None:
-                decomp_info = fallback_info(
-                    "partitioned storage configured (fetch metering "
-                    "needs per-word pushes)"
-                )
-            else:
-                decomposed_plan, decomp_info = plan_step_decomposition(
-                    parent_strategy.pattern,
-                    graph,
-                    primitives,
-                    collect,
-                    root_words,
-                    cost,
-                )
-            if kernel_info is not None:
-                kernel_info["decomposition"] = decomp_info
-            if decomposed_plan is not None:
-                try:
-                    return self._run_decomposed(
-                        graph,
-                        decomposed_plan,
-                        setup_metrics,
-                        kernel_info,
-                        started,
-                    )
-                except DecompositionError as exc:
-                    # Quarantine to enumeration under degrade="auto";
-                    # degrade="never" asks for hard failures instead.
-                    if config.degrade == "never":
-                        raise
-                    warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                    if kernel_info is not None:
-                        kernel_info["decomposition"] = fallback_info(
-                            f"quarantined: {exc}"
-                        )
-            else:
-                setup_metrics.decomp_fallbacks += 1
-
-        if (
-            config.fault_plan is None
-            and config.partition is None
-            and root_words is None
-        ):
-            orbit_ok, orbit_info = plan_orbit_count(
-                parent_strategy, primitives, collect, root_words
-            )
-            if kernel_info is not None and orbit_info is not None:
-                kernel_info["orbit_count"] = orbit_info
-            if orbit_ok:
-                return self._run_orbit_count(
-                    parent_strategy, setup_metrics, kernel_info, started
-                )
-
-        if first_expand is None:
-            # Degenerate step without extension: one evaluation of the
-            # pipeline over the empty subgraph — nothing to parallelize.
-            return self._run_inline(
+        def in_driver(flag: str, words) -> StepOutcome:
+            # Same process: the driver-provided sink runs here exactly
+            # as on the sequential backend.
+            outcome = run_in_process(
+                parent_strategy,
+                setup_metrics,
+                plan,
+                counted,
                 graph,
-                strategy_factory,
                 interner,
                 primitives,
                 aggregation_views,
                 cached_uids,
                 sink,
-                root_words,
-                started,
-                setup_metrics=setup_metrics,
+                words,
+                cost,
             )
+            outcome.backend_info = {
+                "backend": self.name,
+                "num_procs": config.num_procs,
+                flag: True,
+                "wall_seconds": time.perf_counter() - started,
+            }
+            return outcome
 
+        if counted is not None:
+            return in_driver(COUNTED_FLAGS[plan.kind] + "_in_driver", None)
+
+        if not any(isinstance(p, Expand) for p in primitives):
+            # Degenerate step without extension: one evaluation of the
+            # pipeline over the empty subgraph — nothing to parallelize.
+            return in_driver("inline", root_words)
         if root_words is None:
             words = list(
                 parent_strategy.extensions(parent_strategy.make_subgraph())
@@ -368,18 +346,7 @@ class MultiprocessBackend(ExecutionBackend):
         else:
             words = list(root_words)
         if not words:
-            return self._run_inline(
-                graph,
-                strategy_factory,
-                interner,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                sink,
-                root_words,
-                started,
-                setup_metrics=setup_metrics,
-            )
+            return in_driver("inline", words)
 
         n_procs = config.num_procs
         partition_info: Optional[Dict[str, object]] = None
@@ -424,18 +391,7 @@ class MultiprocessBackend(ExecutionBackend):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            outcome = self._run_inline(
-                graph,
-                strategy_factory,
-                interner,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                sink,
-                words,
-                started,
-                setup_metrics=setup_metrics,
-            )
+            outcome = in_driver("inline", words)
             outcome.backend_info["degraded_to"] = "sequential"
             return outcome
 
@@ -451,7 +407,7 @@ class MultiprocessBackend(ExecutionBackend):
             chunk_owner,
             word_owner,
             setup_metrics,
-            kernel_info,
+            plan.kernel_info,
             partition_info,
             cost,
             started,
@@ -1040,148 +996,6 @@ class MultiprocessBackend(ExecutionBackend):
             kernel_info=kernel_info,
             backend_info=info,
             subgraphs=subgraphs,
-        )
-
-    def _run_decomposed(
-        self,
-        graph,
-        plan,
-        setup_metrics: Metrics,
-        kernel_info,
-        started: float,
-    ) -> StepOutcome:
-        """Decomposed counting steps run in the driver, not in workers.
-
-        The inclusion–exclusion combine reduces a counting step to the
-        core walk plus O(1) block-size arithmetic per core embedding —
-        orders of magnitude less work than the enumeration the worker
-        fleet exists to parallelize, and far below the fork/shared-memory
-        setup cost it would have to amortize.  Running it in-process
-        keeps counts byte-identical to the other backends and is flagged
-        in ``backend_info`` so reports stay honest about where the work
-        happened.
-        """
-        from ..pattern.decompose import (
-            DecompositionError,
-            count_embeddings,
-            instance_count,
-        )
-
-        cost = self.config.cost_model
-        metrics = Metrics()
-        metrics.merge(setup_metrics)
-        scratch = Metrics()
-        raw = count_embeddings(
-            plan, graph, scratch, crossover=cost.gallop_crossover
-        )
-        try:
-            count = instance_count(plan, raw)
-        except DecompositionError:
-            # Book the walked core work as wasted on the metrics bundle
-            # the quarantined enumeration run will continue with.
-            setup_metrics.wasted_extension_tests += scratch.extension_tests
-            setup_metrics.wasted_work_units += cost.step_units(scratch)
-            setup_metrics.decomp_fallbacks += 1
-            raise
-        metrics.merge(scratch)
-        metrics.results_emitted = count
-        units = cost.step_units(metrics)
-        return StepOutcome(
-            storages={},
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "decomposed_in_driver": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
-
-    def _run_orbit_count(
-        self,
-        strategy,
-        setup_metrics: Metrics,
-        kernel_info,
-        started: float,
-    ) -> StepOutcome:
-        """Orbit-multiplicity counting steps run in the driver.
-
-        Same reasoning as :meth:`_run_decomposed`: the collapsed walk is
-        far below the fork/shared-memory setup cost the worker fleet
-        would have to amortize, and running it in-process keeps counts
-        and counters byte-identical to the sequential backend.  Flagged
-        in ``backend_info`` so reports stay honest about placement.
-        """
-        cost = self.config.cost_model
-        setup_metrics.results_emitted = strategy.count_matches()
-        units = cost.step_units(setup_metrics)
-        return StepOutcome(
-            storages={},
-            metrics=setup_metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=kernel_info,
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "orbit_counted_in_driver": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
-        )
-
-    def _run_inline(
-        self,
-        graph,
-        strategy_factory,
-        interner,
-        primitives,
-        aggregation_views,
-        cached_uids,
-        sink,
-        root_words,
-        started: float,
-        setup_metrics: Optional[Metrics] = None,
-    ) -> StepOutcome:
-        """Degenerate steps (no Expand, or no roots) run in the parent.
-
-        The driver-provided sink works here — same process — so results
-        flow through it exactly as on the sequential backend.
-        """
-        cost = self.config.cost_model
-        metrics = Metrics()
-        if setup_metrics is not None:
-            metrics.merge(setup_metrics)
-        strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            self.config.pattern_kernel,
-            self.config.order_policy,
-            cost.gallop_crossover,
-        )
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        storages = run_step_sequential(
-            strategy,
-            primitives,
-            computation,
-            cached_uids,
-            sink=sink,
-            root_words=root_words,
-        )
-        units = cost.step_units(metrics)
-        return StepOutcome(
-            storages=storages,
-            metrics=metrics,
-            work_units=units,
-            simulated_seconds=cost.seconds(units),
-            kernel_info=strategy.kernel_info(),
-            backend_info={
-                "backend": self.name,
-                "num_procs": self.config.num_procs,
-                "inline": True,
-                "wall_seconds": time.perf_counter() - started,
-            },
         )
 
 

@@ -30,6 +30,7 @@ from repro.graph import GraphBuilder, erdos_renyi_graph
 from repro.pattern.isomorphism import match_pattern
 from repro.pattern.pattern import PatternInterner
 from repro.runtime.metrics import Metrics
+from repro.runtime.mp_backend import MultiprocessConfig
 
 KERNELS = ("legacy", "indexed")
 POLICIES = ("legacy", "cost")
@@ -325,6 +326,10 @@ class TestConfiguration:
             ClusterConfig(workers=1, cores_per_worker=2, pattern_kernel="x")
         with pytest.raises(ValueError):
             ClusterConfig(workers=1, cores_per_worker=2, order_policy="x")
+        with pytest.raises(ValueError):
+            MultiprocessConfig(pattern_kernel="x")
+        with pytest.raises(ValueError):
+            MultiprocessConfig(order_policy="x")
 
 
 # ----------------------------------------------------------------------
