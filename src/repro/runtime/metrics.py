@@ -78,6 +78,18 @@ from typing import Dict
 
 __all__ = ["Metrics"]
 
+# High-water marks: merged by max, shipped absolute by :meth:`Metrics.delta`.
+_PEAK_COUNTERS = ("peak_enumerator_bytes", "peak_aggregation_entries")
+# Counters in cost units; they start as 0.0 so reports print them as floats.
+_FLOAT_COUNTERS = (
+    "steal_work_units",
+    "agg_ship_units",
+    "agg_combine_units",
+    "detection_latency_units",
+    "wasted_work_units",
+    "parked_units",
+)
+
 
 class Metrics:
     """Mutable counter bundle threaded through an execution."""
@@ -147,139 +159,31 @@ class Metrics:
     )
 
     def __init__(self):
-        self.extension_tests = 0
-        self.extensions_generated = 0
-        self.subgraphs_enumerated = 0
-        self.results_emitted = 0
-        self.filter_calls = 0
-        self.filter_passed = 0
-        self.aggregate_updates = 0
-        self.adjacency_scans = 0
-        self.pattern_canonicalizations = 0
-        self.steals_internal = 0
-        self.steals_external = 0
-        self.steal_messages = 0
-        self.steal_work_units = 0.0
-        self.agg_entries_shipped = 0
-        self.agg_words_shipped = 0
-        self.agg_messages = 0
-        self.agg_ship_units = 0.0
-        self.agg_combine_entries_in = 0
-        self.agg_combine_entries_out = 0
-        self.agg_combine_units = 0.0
-        self.agg_spilled_entries = 0
-        self.peak_enumerator_bytes = 0
-        self.peak_aggregation_entries = 0
-        self.failures_injected = 0
-        self.failures_detected = 0
-        self.detection_latency_units = 0.0
-        self.reenumerated_frames = 0
-        self.reenumerated_extensions = 0
-        self.wasted_work_units = 0.0
-        self.wasted_extension_tests = 0
-        self.steal_retries = 0
-        self.steal_messages_dropped = 0
-        self.steal_messages_duplicated = 0
-        self.steal_messages_delayed = 0
-        self.scheduler_events = 0
-        self.scheduler_requeues = 0
-        self.cores_parked = 0
-        self.wake_events = 0
-        self.parked_units = 0.0
-        self.victim_scan_steps = 0
-        self.steal_chunk_extensions = 0
-        self.steal_degree_adjustments = 0
-        self.victim_cost_skips = 0
-        self.adaptive_steals = 0
-        self.adaptive_chunk_extensions = 0
-        self.back_edge_probes = 0
-        self.intersect_comparisons = 0
-        self.gallop_steps = 0
-        self.index_slices = 0
-        self.remote_adjacency_fetches = 0
-        self.local_adjacency_fetches = 0
-        self.workers_lost = 0
-        self.workers_respawned = 0
-        self.chunks_reexecuted = 0
-        self.chunks_quarantined = 0
-        self.decomp_core_embeddings = 0
-        self.decomp_blocks = 0
-        self.decomp_terms = 0
-        self.decomp_fallbacks = 0
-        self.symmetry_cache_hits = 0
-        self.orbit_multiplied_embeddings = 0
+        for name, zero in _ZEROS:
+            setattr(self, name, zero)
 
     def merge(self, other: "Metrics") -> None:
         """Accumulate counters from another instance (peaks take max)."""
-        self.extension_tests += other.extension_tests
-        self.extensions_generated += other.extensions_generated
-        self.subgraphs_enumerated += other.subgraphs_enumerated
-        self.results_emitted += other.results_emitted
-        self.filter_calls += other.filter_calls
-        self.filter_passed += other.filter_passed
-        self.aggregate_updates += other.aggregate_updates
-        self.adjacency_scans += other.adjacency_scans
-        self.pattern_canonicalizations += other.pattern_canonicalizations
-        self.steals_internal += other.steals_internal
-        self.steals_external += other.steals_external
-        self.steal_messages += other.steal_messages
-        self.steal_work_units += other.steal_work_units
-        self.agg_entries_shipped += other.agg_entries_shipped
-        self.agg_words_shipped += other.agg_words_shipped
-        self.agg_messages += other.agg_messages
-        self.agg_ship_units += other.agg_ship_units
-        self.agg_combine_entries_in += other.agg_combine_entries_in
-        self.agg_combine_entries_out += other.agg_combine_entries_out
-        self.agg_combine_units += other.agg_combine_units
-        self.agg_spilled_entries += other.agg_spilled_entries
-        self.failures_injected += other.failures_injected
-        self.failures_detected += other.failures_detected
-        self.detection_latency_units += other.detection_latency_units
-        self.reenumerated_frames += other.reenumerated_frames
-        self.reenumerated_extensions += other.reenumerated_extensions
-        self.wasted_work_units += other.wasted_work_units
-        self.wasted_extension_tests += other.wasted_extension_tests
-        self.steal_retries += other.steal_retries
-        self.steal_messages_dropped += other.steal_messages_dropped
-        self.steal_messages_duplicated += other.steal_messages_duplicated
-        self.steal_messages_delayed += other.steal_messages_delayed
-        self.scheduler_events += other.scheduler_events
-        self.scheduler_requeues += other.scheduler_requeues
-        self.cores_parked += other.cores_parked
-        self.wake_events += other.wake_events
-        self.parked_units += other.parked_units
-        self.victim_scan_steps += other.victim_scan_steps
-        self.steal_chunk_extensions += other.steal_chunk_extensions
-        self.steal_degree_adjustments += other.steal_degree_adjustments
-        self.victim_cost_skips += other.victim_cost_skips
-        self.adaptive_steals += other.adaptive_steals
-        self.adaptive_chunk_extensions += other.adaptive_chunk_extensions
-        self.back_edge_probes += other.back_edge_probes
-        self.intersect_comparisons += other.intersect_comparisons
-        self.gallop_steps += other.gallop_steps
-        self.index_slices += other.index_slices
-        self.remote_adjacency_fetches += other.remote_adjacency_fetches
-        self.local_adjacency_fetches += other.local_adjacency_fetches
-        self.workers_lost += other.workers_lost
-        self.workers_respawned += other.workers_respawned
-        self.chunks_reexecuted += other.chunks_reexecuted
-        self.chunks_quarantined += other.chunks_quarantined
-        self.decomp_core_embeddings += other.decomp_core_embeddings
-        self.decomp_blocks += other.decomp_blocks
-        self.decomp_terms += other.decomp_terms
-        self.decomp_fallbacks += other.decomp_fallbacks
-        self.symmetry_cache_hits += other.symmetry_cache_hits
-        self.orbit_multiplied_embeddings += other.orbit_multiplied_embeddings
-        self.peak_enumerator_bytes = max(
-            self.peak_enumerator_bytes, other.peak_enumerator_bytes
-        )
-        self.peak_aggregation_entries = max(
-            self.peak_aggregation_entries, other.peak_aggregation_entries
-        )
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in _PEAK_COUNTERS:
+            setattr(self, name, max(getattr(self, name), getattr(other, name)))
 
     def snapshot(self) -> Dict[str, float]:
         """Counters as a plain dict (for reports and tests)."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+    def delta(self, before: Dict[str, float]) -> Dict[str, float]:
+        """Snapshot of the work done since ``before`` (an earlier snapshot).
+
+        Summed counters ship as differences; peaks ship absolute, since
+        :meth:`merge` takes their max.  This is the per-chunk wire format
+        of the multiprocess backend.
+        """
+        return {
+            name: value if name in _PEAK_COUNTERS else value - before.get(name, 0)
+            for name, value in self.snapshot().items()
+        }
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, float]) -> "Metrics":
@@ -304,3 +208,9 @@ class Metrics:
             f"subgraphs={self.subgraphs_enumerated}, "
             f"steals={self.steals_internal}+{self.steals_external})"
         )
+
+
+_ZEROS = tuple(
+    (name, 0.0 if name in _FLOAT_COUNTERS else 0) for name in Metrics.__slots__
+)
+_SUMMED = tuple(name for name in Metrics.__slots__ if name not in _PEAK_COUNTERS)

@@ -28,8 +28,11 @@ sequential backend with a warning (see
 the driver runs a supervision loop instead of a blocking join: each
 worker holds at most one chunk *lease* at a time, announced progress
 flows back on the result queue (heartbeats, lease starts, per-chunk
-results), and a chunk is only *retired* when its results arrive.  The
-supervisor distinguishes three ways a worker stops cooperating:
+results), and a chunk is only *retired* when its results arrive.  Every
+decision of that loop lives in the pure
+:class:`~repro.runtime.leases.LeaseTable`; this module is the process
+shell that forks, kills, sleeps and reads the queue on its behalf.  The
+table distinguishes three ways a worker stops cooperating:
 
 * **crash** — the process died (OOM kill, segfault, unhandled error);
 * **hang** — a lease outlived ``worker_timeout`` and heartbeats went
@@ -68,12 +71,13 @@ the owner slot is abandoned, so fault-free partitioned runs keep the
 exact static placement (and local/remote fetch metering) of the
 unsupervised backend.
 
-**Result shipping.**  Each worker ships one message per completed
-chunk: the chunk's aggregation ``entries()`` pairs plus a *delta*
-metrics snapshot covering exactly that chunk's work.  The driver
-rebuilds per-chunk storages and k-way merges them in chunk-index order
-— deterministic regardless of which worker ran which chunk, and
-immune to double-counting when a chunk is executed twice.
+**Result shipping.**  Workers and the driver's in-driver rung run chunks
+through one :class:`_ChunkRunner`, which yields one payload per chunk:
+the chunk's aggregation ``entries()`` pairs plus a *delta* metrics
+snapshot covering exactly that chunk's work.  The driver rebuilds
+per-chunk storages and k-way merges them in chunk-index order —
+deterministic regardless of which worker ran which chunk, and immune to
+double-counting when a chunk is executed twice.
 
 **Known limit.**  A worker SIGKILLed in the middle of a result-queue
 ``put`` can leave the queue's cross-process lock held; survivors then
@@ -94,9 +98,8 @@ import threading
 import time
 import traceback
 import warnings
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.aggregation import merge_storages_streaming
 from ..core.computation import Computation
@@ -119,25 +122,23 @@ from .backend import (
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import new_storages, run_step_sequential
 from .faults import FaultPlan
+from .leases import LeaseTable
 from .metrics import Metrics
 
 __all__ = ["MultiprocessConfig", "MultiprocessBackend"]
 
-# Counters shipped as absolute values (merge takes max), not deltas.
-_PEAK_COUNTERS = ("peak_enumerator_bytes", "peak_aggregation_entries")
-
-
-def _snapshot_delta(
-    before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-chunk counter delta between two cumulative snapshots."""
-    delta: Dict[str, float] = {}
-    for name, value in after.items():
-        if name in _PEAK_COUNTERS:
-            delta[name] = value
-        else:
-            delta[name] = value - before.get(name, 0)
-    return delta
+# Chunks per worker slot and step: enough leases to balance load
+# dynamically, few enough that per-chunk payloads stay cheap.
+CHUNKS_PER_PROC = 8
+# Worker heartbeat period in seconds, clamped to a quarter of the
+# worker timeout so a live worker always beats before its lease is due.
+HEARTBEAT_INTERVAL = 0.25
+_RECOVERY_COUNTERS = (
+    "workers_lost",
+    "workers_respawned",
+    "chunks_reexecuted",
+    "chunks_quarantined",
+)
 
 
 @dataclass(frozen=True)
@@ -165,22 +166,18 @@ class MultiprocessConfig:
 
     num_procs: int = 2
     partition: Optional[str] = None
-    chunks_per_proc: int = 8
     cost_model: CostModel = DEFAULT_COST_MODEL
     pattern_kernel: str = "legacy"
     order_policy: Optional[str] = None
     worker_timeout: float = 30.0
     max_worker_retries: int = 2
     max_chunk_retries: int = 2
-    heartbeat_interval: float = 0.25
     degrade: str = "auto"
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self):
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs!r}")
-        if self.chunks_per_proc < 1:
-            raise ValueError("chunks_per_proc must be >= 1")
         if self.partition is not None and self.partition not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"partition must be None or one of {PARTITION_STRATEGIES}, "
@@ -197,8 +194,6 @@ class MultiprocessConfig:
             raise ValueError("max_worker_retries must be >= 0")
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
-        if not self.heartbeat_interval > 0:
-            raise ValueError("heartbeat_interval must be positive")
         if self.degrade not in ("auto", "never"):
             raise ValueError(
                 f"degrade must be 'auto' or 'never', got {self.degrade!r}"
@@ -207,19 +202,56 @@ class MultiprocessConfig:
             self.fault_plan.validate_mp(self.num_procs)
 
 
-@dataclass
-class _WorkerHandle:
-    """Supervisor-side state of one worker incarnation (slot, generation)."""
+class _ChunkRunner:
+    """Runs one step's chunks on one strategy, one payload per chunk.
 
-    slot: int
-    gen: int
-    proc: object
-    task_queue: object
-    lease: Optional[int] = None
-    lease_since: float = 0.0
-    last_msg: float = 0.0
-    done: bool = False
-    dead: bool = False
+    Forked workers and the driver's quarantine/degradation rung both run
+    chunks here, so assembly cannot tell driver-run chunks from
+    worker-run ones.
+    """
+
+    def __init__(self, strategy, computation, primitives, cached_uids, collect):
+        self.strategy = strategy
+        self.computation = computation
+        self.primitives = primitives
+        self.cached_uids = cached_uids
+        self.collect = collect
+        self._baseline: Dict[str, float] = {}
+
+    def run(self, words: List[int]) -> dict:
+        frozen: Optional[List[SubgraphResult]] = None
+        if self.collect == "subgraphs":
+            frozen = []
+
+            def sink(subgraph):
+                frozen.append(subgraph.freeze())
+        elif self.collect == "count":
+            def sink(subgraph):
+                pass  # counted via metrics.results_emitted
+        else:
+            sink = None
+        storages = run_step_sequential(
+            self.strategy,
+            self.primitives,
+            self.computation,
+            self.cached_uids,
+            sink=sink,
+            root_words=words,
+        )
+        return {
+            "entries": {
+                uid: list(storage.entries()) for uid, storage in storages.items()
+            },
+            "metrics": self.delta(),
+            "subgraphs": frozen,
+        }
+
+    def delta(self) -> Dict[str, float]:
+        """Counters since the previous call (one chunk, or the exit residual)."""
+        metrics = self.computation.metrics
+        delta = metrics.delta(self._baseline)
+        self._baseline = metrics.snapshot()
+        return delta
 
 
 class MultiprocessBackend(ExecutionBackend):
@@ -268,12 +300,27 @@ class MultiprocessBackend(ExecutionBackend):
         cost = config.cost_model
         started = time.perf_counter()
 
-        def new_strategy(metrics: Metrics):
-            strategy = strategy_factory(graph, metrics, interner)
+        def new_strategy(metrics: Metrics, run_graph=graph, run_interner=interner):
+            strategy = strategy_factory(run_graph, metrics, run_interner)
             strategy.configure_kernel(
                 config.pattern_kernel, config.order_policy, cost.gallop_crossover
             )
             return strategy
+
+        def new_runner(run_graph, slot: Optional[int] = None) -> _ChunkRunner:
+            # A fresh interner per runner, as each worker process has.
+            # Fetch metering needs a partition owner; the driver is none.
+            metrics = Metrics()
+            run_interner = PatternInterner()
+            strategy = new_strategy(metrics, run_graph, run_interner)
+            if slot is not None and word_owner is not None:
+                _wrap_push_with_fetch_meter(strategy, word_owner, slot, metrics)
+            computation = Computation(
+                run_graph, metrics, run_interner, aggregation_views
+            )
+            return _ChunkRunner(
+                strategy, computation, primitives, cached_uids, collect
+            )
 
         # Root probing is setup (as in the simulator's _distribute_roots):
         # metered separately, merged into the step totals at the end, so
@@ -351,7 +398,6 @@ class MultiprocessBackend(ExecutionBackend):
         n_procs = config.num_procs
         partition_info: Optional[Dict[str, object]] = None
         word_owner: Optional[Callable[[int], int]] = None
-        chunk_owner: Optional[List[int]] = None
         if config.partition is not None:
             graph_partition = partition_graph(graph, config.partition, n_procs)
             word_owner = graph_partition.word_owner(graph, parent_strategy.mode)
@@ -364,18 +410,16 @@ class MultiprocessBackend(ExecutionBackend):
             for word in words:
                 assignments[word_owner(word)].append(word)
             chunk_lists: List[List[int]] = []
-            chunk_owner = []
+            chunk_owner: List[Optional[int]] = []
             for slot, owned in enumerate(assignments):
-                if not owned:
-                    continue
-                k = min(len(owned), config.chunks_per_proc)
+                k = min(len(owned), CHUNKS_PER_PROC)
                 for i in range(k):
                     chunk_lists.append(owned[i::k])
                     chunk_owner.append(slot)
         else:
-            n = min(len(words), n_procs * config.chunks_per_proc)
+            n = min(len(words), n_procs * CHUNKS_PER_PROC)
             chunk_lists = [words[i::n] for i in range(n)]
-        n_chunks = len(chunk_lists)
+            chunk_owner = [None] * n
 
         try:
             shared = self._shared_for(graph)
@@ -395,448 +439,153 @@ class MultiprocessBackend(ExecutionBackend):
             outcome.backend_info["degraded_to"] = "sequential"
             return outcome
 
-        return self._run_supervised(
-            graph,
-            strategy_factory,
-            primitives,
-            aggregation_views,
-            cached_uids,
-            collect,
-            shared,
-            chunk_lists,
+        table = LeaseTable(
+            n_procs,
             chunk_owner,
-            word_owner,
+            config.worker_timeout,
+            config.max_worker_retries,
+            config.max_chunk_retries,
+        )
+        degraded = self._supervise(table, shared, chunk_lists, new_runner)
+        driver_chunks = table.driver_chunks()
+        if degraded:
+            message = (
+                "all multiprocess worker slots exhausted their respawn "
+                f"budget ({config.max_worker_retries} per slot); "
+                f"re-executing {len(driver_chunks)} chunks "
+                "in-driver on the sequential path"
+                + (
+                    f"\nlast worker error:\n{table.last_error}"
+                    if table.last_error
+                    else ""
+                )
+            )
+            if config.degrade == "never":
+                raise RuntimeError(message)
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        if driver_chunks:
+            runner = new_runner(graph)
+            for cidx in driver_chunks:
+                table.ack(cidx, runner.run(chunk_lists[cidx]))
+
+        return self._assemble(
+            primitives,
+            cached_uids,
+            table,
             setup_metrics,
+            degraded,
             plan.kernel_info,
             partition_info,
+            shared,
+            collect,
             cost,
             started,
         )
 
     # ------------------------------------------------------------------
-    def _run_supervised(
+    def _supervise(
         self,
-        graph,
-        strategy_factory,
-        primitives,
-        aggregation_views,
-        cached_uids,
-        collect,
+        table: LeaseTable,
         shared: SharedGraphBuffers,
         chunk_lists: List[List[int]],
-        chunk_owner: Optional[List[int]],
-        word_owner,
-        setup_metrics: Metrics,
-        kernel_info,
-        partition_info,
-        cost: CostModel,
-        started: float,
-    ) -> StepOutcome:
-        """Supervision loop: lease chunks, watch workers, recover losses."""
+        new_runner,
+    ) -> bool:
+        """Carry out ``table``'s decisions on real processes.
+
+        Returns True when every slot was abandoned with chunks left — the
+        step must degrade to in-driver execution.
+        """
         config = self.config
-        n_procs = config.num_procs
-        n_chunks = len(chunk_lists)
-        plan = config.fault_plan
-        mp_kills = plan.mp_worker_kills if plan is not None else ()
-        mp_stalls = plan.mp_worker_stalls if plan is not None else ()
-        mp_drops = plan.mp_drop_results if plan is not None else ()
-        poison_set: Set[int] = (
-            {p.chunk_index for p in plan.mp_poison_chunks}
-            if plan is not None
-            else set()
-        )
         result_queue = self._ctx.Queue()
         beat_interval = max(
-            0.02, min(config.heartbeat_interval, config.worker_timeout / 4.0)
+            0.02, min(HEARTBEAT_INTERVAL, config.worker_timeout / 4.0)
         )
-
-        def worker_main(slot: int, gen: int, task_queue) -> None:
-            worker_started = time.perf_counter()
-            key = (slot, gen)
-            stop_beats = threading.Event()
-
-            def beat() -> None:
-                while not stop_beats.wait(beat_interval):
-                    try:
-                        result_queue.put(("hb", key))
-                    except Exception:
-                        return
-
-            heartbeats = threading.Thread(target=beat, daemon=True)
-            heartbeats.start()
-            my_kills = tuple(
-                k for k in mp_kills if gen == 0 and k.worker_id == slot
-            )
-            my_stalls = [
-                [s, False] for s in mp_stalls if gen == 0 and s.worker_id == slot
-            ]
-            my_drops = (
-                {d.chunk_number for d in mp_drops if d.worker_id == slot}
-                if gen == 0
-                else set()
-            )
-
-            def die() -> None:
-                # Stop heartbeats first so SIGKILL cannot land inside a
-                # heartbeat put() holding the queue's cross-process lock.
-                stop_beats.set()
-                heartbeats.join(timeout=1.0)
-                os.kill(os.getpid(), signal.SIGKILL)
-
-            try:
-                worker_graph = shared.attach()
-                metrics = Metrics()
-                worker_interner = PatternInterner()
-                strategy = strategy_factory(worker_graph, metrics, worker_interner)
-                strategy.configure_kernel(
-                    config.pattern_kernel,
-                    config.order_policy,
-                    config.cost_model.gallop_crossover,
-                )
-                if word_owner is not None:
-                    _wrap_push_with_fetch_meter(
-                        strategy, word_owner, slot, metrics
-                    )
-                computation = Computation(
-                    worker_graph, metrics, worker_interner, aggregation_views
-                )
-                baseline: Dict[str, float] = {}
-                chunks_done = 0
-                while True:
-                    cidx = task_queue.get()
-                    if cidx is None:
-                        result_queue.put(
-                            (
-                                "done",
-                                key,
-                                {
-                                    "metrics": _snapshot_delta(
-                                        baseline, metrics.snapshot()
-                                    ),
-                                    "wall": time.perf_counter() - worker_started,
-                                },
-                            )
-                        )
-                        stop_beats.set()
-                        return
-                    # ---- injected real faults (chaos testing) --------
-                    if cidx in poison_set:
-                        die()
-                    if any(chunks_done >= k.after_chunks for k in my_kills):
-                        die()
-                    for entry in my_stalls:
-                        stall, fired = entry
-                        if not fired and chunks_done == stall.after_chunks:
-                            entry[1] = True
-                            if stall.freeze:
-                                stop_beats.set()
-                                heartbeats.join(timeout=1.0)
-                                os.kill(os.getpid(), signal.SIGSTOP)
-                            else:
-                                time.sleep(stall.seconds)
-                    # --------------------------------------------------
-                    result_queue.put(("lease", key, cidx))
-                    frozen: Optional[List[SubgraphResult]] = (
-                        [] if collect == "subgraphs" else None
-                    )
-                    if collect == "subgraphs":
-                        def child_sink(subgraph, _out=frozen):
-                            _out.append(subgraph.freeze())
-                    elif collect == "count":
-                        def child_sink(subgraph):
-                            pass  # counted via metrics.results_emitted
-                    else:
-                        child_sink = None
-                    storages = run_step_sequential(
-                        strategy,
-                        primitives,
-                        computation,
-                        cached_uids,
-                        sink=child_sink,
-                        root_words=chunk_lists[cidx],
-                    )
-                    snap = metrics.snapshot()
-                    payload = {
-                        "entries": {
-                            uid: list(storage.entries())
-                            for uid, storage in storages.items()
-                        },
-                        "metrics": _snapshot_delta(baseline, snap),
-                        "subgraphs": frozen,
-                    }
-                    baseline = snap
-                    dropped = chunks_done in my_drops
-                    chunks_done += 1
-                    if not dropped:
-                        result_queue.put(("chunk", key, cidx, payload))
-            except BaseException:
-                try:
-                    result_queue.put(("error", key, traceback.format_exc()))
-                except Exception:
-                    pass
-            finally:
-                stop_beats.set()
-
-        # ---- supervisor state -------------------------------------------
-        handles: Dict[Tuple[int, int], _WorkerHandle] = {}
-        live: Dict[int, Tuple[int, int]] = {}  # slot -> current incarnation
-        respawns_left: Dict[int, int] = {
-            slot: config.max_worker_retries for slot in range(n_procs)
-        }
-        abandoned: Set[int] = set()
-        if chunk_owner is not None:
-            pending_owned: List[deque] = [deque() for _ in range(n_procs)]
-            for cidx, slot in enumerate(chunk_owner):
-                pending_owned[slot].append(cidx)
-            orphans: deque = deque()
-        else:
-            pending: deque = deque(range(n_chunks))
-        acked: Dict[int, dict] = {}
-        retries: Dict[int, int] = {}
-        quarantine: List[int] = []
-        deaths = {"crash": 0, "hang": 0, "straggler": 0}
-        recovery = {
-            "workers_lost": 0,
-            "workers_respawned": 0,
-            "chunks_reexecuted": 0,
-            "chunks_quarantined": 0,
-        }
-        worker_walls: Dict[Tuple[int, int], float] = {}
-        extra_metrics: List[Dict[str, float]] = []
-        last_error: Optional[str] = None
-        degraded = False
+        # (slot, generation) -> (process, its private task queue)
+        workers: Dict[Tuple[int, int], Tuple[object, object]] = {}
 
         def spawn(slot: int, gen: int) -> None:
+            # A fresh task queue per incarnation: a replacement never
+            # inherits a queue whose lock a killed predecessor held.
             task_queue = self._ctx.SimpleQueue()
             proc = self._ctx.Process(
-                target=worker_main, args=(slot, gen, task_queue), daemon=True
+                target=_worker_main,
+                args=(
+                    (slot, gen),
+                    task_queue,
+                    result_queue,
+                    shared,
+                    new_runner,
+                    chunk_lists,
+                    config.fault_plan,
+                    beat_interval,
+                ),
+                daemon=True,
             )
             proc.start()
-            now = time.monotonic()
-            handle = _WorkerHandle(
-                slot=slot, gen=gen, proc=proc, task_queue=task_queue,
-                last_msg=now,
-            )
-            handles[(slot, gen)] = handle
-            live[slot] = (slot, gen)
+            workers[(slot, gen)] = (proc, task_queue)
+            table.spawned(slot, gen, time.monotonic())
 
-        def next_chunk(slot: int) -> Optional[int]:
-            if chunk_owner is not None:
-                if pending_owned[slot]:
-                    return pending_owned[slot].popleft()
-                if orphans:
-                    return orphans.popleft()
-                return None
-            return pending.popleft() if pending else None
+        def lose(slot: int, reason: str) -> None:
+            gen = table.live[slot]
+            backoff = table.lose(slot, reason)
+            _kill_process(workers[(slot, gen)][0])
+            if backoff is not None:
+                time.sleep(backoff)
+                spawn(slot, gen + 1)
 
         def dispatch() -> None:
-            now = time.monotonic()
-            for slot, key in list(live.items()):
-                handle = handles[key]
-                if handle.dead or handle.done or handle.lease is not None:
-                    continue
-                cidx = next_chunk(slot)
-                if cidx is None:
-                    continue
-                handle.lease = cidx
-                handle.lease_since = now
-                handle.task_queue.put(cidx)
-
-        def revoke(cidx: int) -> None:
-            retries[cidx] = retries.get(cidx, 0) + 1
-            if retries[cidx] > config.max_chunk_retries:
-                quarantine.append(cidx)
-                recovery["chunks_quarantined"] += 1
-                return
-            recovery["chunks_reexecuted"] += 1
-            if chunk_owner is not None:
-                owner = chunk_owner[cidx]
-                if owner in abandoned:
-                    orphans.appendleft(cidx)
-                else:
-                    pending_owned[owner].appendleft(cidx)
-            else:
-                pending.appendleft(cidx)
-
-        def lose_worker(handle: _WorkerHandle, reason: str) -> None:
-            deaths[reason] += 1
-            recovery["workers_lost"] += 1
-            handle.dead = True
-            _kill_process(handle.proc)
-            if live.get(handle.slot) == (handle.slot, handle.gen):
-                del live[handle.slot]
-            if handle.lease is not None:
-                revoke(handle.lease)
-                handle.lease = None
-            if respawns_left[handle.slot] > 0:
-                respawns_left[handle.slot] -= 1
-                recovery["workers_respawned"] += 1
-                # Exponential backoff between respawns: a repeatedly
-                # dying slot must not fork-bomb the host.
-                total_deaths = sum(deaths.values())
-                time.sleep(min(0.4, 0.02 * (2 ** min(total_deaths - 1, 4))))
-                spawn(handle.slot, handle.gen + 1)
-            else:
-                abandoned.add(handle.slot)
-                if chunk_owner is not None:
-                    while pending_owned[handle.slot]:
-                        orphans.append(pending_owned[handle.slot].popleft())
-
-        def resolved() -> int:
-            return len(acked) + len(quarantine)
+            for slot, cidx in table.dispatch(time.monotonic()):
+                workers[(slot, table.live[slot])][1].put(cidx)
 
         poll = max(0.01, min(0.1, config.worker_timeout / 20.0))
         try:
-            for slot in range(n_procs):
+            for slot in range(config.num_procs):
                 spawn(slot, 0)
             dispatch()
-            while resolved() < n_chunks:
-                if not live:
-                    # Every slot exhausted its respawn budget: walk the
-                    # last rung of the degradation ladder.
-                    degraded = True
-                    break
+            while table.unresolved and table.live:
                 try:
                     message = result_queue.get(timeout=poll)
                 except queue_lib.Empty:
                     message = None
                 now = time.monotonic()
                 if message is not None:
-                    kind, key = message[0], message[1]
-                    handle = handles.get(key)
-                    if handle is not None and not handle.dead:
-                        handle.last_msg = now
-                    if kind == "chunk":
-                        cidx, payload = message[2], message[3]
-                        if cidx not in acked:
-                            acked[cidx] = payload
-                        if handle is not None and handle.lease == cidx:
-                            handle.lease = None
-                    elif kind == "done":
-                        info = message[2]
-                        worker_walls[key] = info["wall"]
-                        extra_metrics.append(info["metrics"])
-                        if handle is not None:
-                            handle.done = True
-                    elif kind == "error":
-                        last_error = message[2]
-                        if handle is not None and not handle.dead:
-                            lose_worker(handle, "crash")
-                    # "hb" and "lease" only refresh last_msg.
-                # Sentinel / deadline sweep.
-                for key in list(live.values()):
-                    handle = handles[key]
-                    if handle.dead or handle.done:
-                        continue
-                    if not handle.proc.is_alive():
-                        lose_worker(handle, "crash")
-                        continue
-                    if (
-                        handle.lease is not None
-                        and now - handle.lease_since > config.worker_timeout
-                    ):
-                        stale = (
-                            now - handle.last_msg > config.worker_timeout / 2.0
-                        )
-                        lose_worker(handle, "hang" if stale else "straggler")
+                    crashed = table.receive(message, now)
+                    if crashed is not None:
+                        lose(crashed, "crash")
+                for slot, gen in list(table.live.items()):
+                    alive = workers[(slot, gen)][0].is_alive()
+                    reason = table.classify(slot, alive, now)
+                    if reason is not None:
+                        lose(slot, reason)
                 dispatch()
+            # With chunks unresolved the loop only ends when no live slot
+            # is left: the last rung of the degradation ladder.
+            degraded = bool(table.unresolved)
         finally:
-            self._shutdown_workers(
-                handles, result_queue, worker_walls, extra_metrics, acked
-            )
+            self._shutdown(table, workers, result_queue)
+        return degraded
 
-        remaining = sorted(
-            set(range(n_chunks)) - set(acked) - set(quarantine)
-        )
-        if degraded:
-            message = (
-                "all multiprocess worker slots exhausted their respawn "
-                f"budget ({config.max_worker_retries} per slot); "
-                f"re-executing {len(remaining) + len(quarantine)} chunks "
-                "in-driver on the sequential path"
-                + (f"\nlast worker error:\n{last_error}" if last_error else "")
-            )
-            if config.degrade == "never":
-                raise RuntimeError(message)
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-        driver_chunks = sorted(set(quarantine) | set(remaining))
-        if driver_chunks:
-            driver_payloads = self._run_chunks_in_driver(
-                graph,
-                strategy_factory,
-                primitives,
-                aggregation_views,
-                cached_uids,
-                chunk_lists,
-                driver_chunks,
-                collect,
-            )
-            acked.update(driver_payloads)
-
-        return self._assemble(
-            primitives,
-            cached_uids,
-            acked,
-            n_chunks,
-            setup_metrics,
-            extra_metrics,
-            worker_walls,
-            recovery,
-            deaths,
-            degraded,
-            kernel_info,
-            partition_info,
-            shared,
-            collect,
-            cost,
-            started,
-        )
-
-    # ------------------------------------------------------------------
-    def _shutdown_workers(
-        self, handles, result_queue, worker_walls, extra_metrics, acked
-    ) -> bool:
-        """Clean shutdown: signal, join with timeout, terminate-and-reap.
+    def _shutdown(self, table: LeaseTable, workers, result_queue) -> None:
+        """Clean shutdown: signal, drain with a deadline, terminate-and-reap.
 
         Never blocks indefinitely — a wedged worker is terminated and,
         failing that, SIGKILLed, so Ctrl-C and test teardown cannot
-        deadlock on ``join``.
+        deadlock on ``join``.  Results drained here still ack chunks.
         """
-        config = self.config
-        for handle in handles.values():
-            if not handle.dead and not handle.done:
-                try:
-                    handle.task_queue.put(None)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + max(1.0, min(config.worker_timeout, 5.0))
-        pending = {
-            key
-            for key, handle in handles.items()
-            if not handle.dead and not handle.done
-        }
-        while pending and time.monotonic() < deadline:
+        waiting = list(table.live.items())
+        for key in waiting:
             try:
-                message = result_queue.get(timeout=0.05)
+                workers[key][1].put(None)
+            except Exception:
+                pass
+        deadline = time.monotonic() + max(1.0, min(self.config.worker_timeout, 5.0))
+        while waiting and time.monotonic() < deadline:
+            try:
+                table.receive(result_queue.get(timeout=0.05), time.monotonic())
             except queue_lib.Empty:
-                for key in list(pending):
-                    if not handles[key].proc.is_alive():
-                        pending.discard(key)
-                continue
-            kind, key = message[0], message[1]
-            if kind == "done":
-                worker_walls[key] = message[2]["wall"]
-                extra_metrics.append(message[2]["metrics"])
-                if key in handles:
-                    handles[key].done = True
-                pending.discard(key)
-            elif kind == "chunk":
-                cidx, payload = message[2], message[3]
-                if cidx not in acked:
-                    acked[cidx] = payload
-        clean = not pending
-        for handle in handles.values():
-            proc = handle.proc
+                waiting = [key for key in waiting if workers[key][0].is_alive()]
+            waiting = [key for key in waiting if key not in table.walls]
+        for proc, _ in workers.values():
             proc.join(timeout=0.2)
             if proc.is_alive():
                 proc.terminate()
@@ -844,84 +593,14 @@ class MultiprocessBackend(ExecutionBackend):
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=1.0)
-        return clean
-
-    # ------------------------------------------------------------------
-    def _run_chunks_in_driver(
-        self,
-        graph,
-        strategy_factory,
-        primitives,
-        aggregation_views,
-        cached_uids,
-        chunk_lists,
-        chunk_indices: Sequence[int],
-        collect,
-    ) -> Dict[int, dict]:
-        """Quarantine/degradation rung: run chunks on the driver itself.
-
-        Mirrors a worker exactly (fresh interner, per-chunk payloads) so
-        assembly cannot tell driver-run chunks from worker-run ones.
-        Partition fetch metering is skipped — the driver is not a
-        partition owner, and this path only runs under faults, where
-        placement metering has already diverged.
-        """
-        config = self.config
-        metrics = Metrics()
-        interner = PatternInterner()
-        strategy = strategy_factory(graph, metrics, interner)
-        strategy.configure_kernel(
-            config.pattern_kernel,
-            config.order_policy,
-            config.cost_model.gallop_crossover,
-        )
-        computation = Computation(graph, metrics, interner, aggregation_views)
-        baseline: Dict[str, float] = {}
-        payloads: Dict[int, dict] = {}
-        for cidx in sorted(chunk_indices):
-            frozen: Optional[List[SubgraphResult]] = (
-                [] if collect == "subgraphs" else None
-            )
-            if collect == "subgraphs":
-                def child_sink(subgraph, _out=frozen):
-                    _out.append(subgraph.freeze())
-            elif collect == "count":
-                def child_sink(subgraph):
-                    pass  # counted via metrics.results_emitted
-            else:
-                child_sink = None
-            storages = run_step_sequential(
-                strategy,
-                primitives,
-                computation,
-                cached_uids,
-                sink=child_sink,
-                root_words=chunk_lists[cidx],
-            )
-            snap = metrics.snapshot()
-            payloads[cidx] = {
-                "entries": {
-                    uid: list(storage.entries())
-                    for uid, storage in storages.items()
-                },
-                "metrics": _snapshot_delta(baseline, snap),
-                "subgraphs": frozen,
-            }
-            baseline = snap
-        return payloads
 
     # ------------------------------------------------------------------
     def _assemble(
         self,
         primitives: Sequence[Primitive],
         cached_uids,
-        acked: Dict[int, dict],
-        n_chunks: int,
+        table: LeaseTable,
         setup_metrics: Metrics,
-        extra_metrics: List[Dict[str, float]],
-        worker_walls: Dict[Tuple[int, int], float],
-        recovery: Dict[str, int],
-        deaths: Dict[str, int],
         degraded: bool,
         kernel_info,
         partition_info,
@@ -931,6 +610,8 @@ class MultiprocessBackend(ExecutionBackend):
         started: float,
     ) -> StepOutcome:
         """Driver-side merge of chunk payloads, in chunk-index order."""
+        acked = table.acked
+        n_chunks = len(table.chunk_owner)
         if len(acked) != n_chunks:
             missing = sorted(set(range(n_chunks)) - set(acked))
             raise RuntimeError(
@@ -955,12 +636,9 @@ class MultiprocessBackend(ExecutionBackend):
             total_metrics.merge(
                 Metrics.from_snapshot(acked[cidx]["metrics"])
             )
-        for snapshot in extra_metrics:
+        for snapshot in table.residuals:
             total_metrics.merge(Metrics.from_snapshot(snapshot))
-        total_metrics.workers_lost += recovery["workers_lost"]
-        total_metrics.workers_respawned += recovery["workers_respawned"]
-        total_metrics.chunks_reexecuted += recovery["chunks_reexecuted"]
-        total_metrics.chunks_quarantined += recovery["chunks_quarantined"]
+        total_metrics.merge(table.recovery)
         subgraphs: Optional[List[SubgraphResult]] = None
         if collect == "subgraphs":
             subgraphs = []
@@ -974,15 +652,12 @@ class MultiprocessBackend(ExecutionBackend):
             "start_method": "fork",
             "wall_seconds": wall,
             "worker_wall_seconds": [
-                worker_walls[key] for key in sorted(worker_walls)
+                table.walls[key] for key in sorted(table.walls)
             ],
             "chunks": n_chunks,
             "shared_graph_bytes": shared.nbytes,
-            "workers_lost": recovery["workers_lost"],
-            "workers_respawned": recovery["workers_respawned"],
-            "chunks_reexecuted": recovery["chunks_reexecuted"],
-            "chunks_quarantined": recovery["chunks_quarantined"],
-            "worker_deaths": dict(deaths),
+            **{name: getattr(table.recovery, name) for name in _RECOVERY_COUNTERS},
+            "worker_deaths": dict(table.deaths),
         }
         if degraded:
             info["degraded_to"] = "sequential"
@@ -997,6 +672,89 @@ class MultiprocessBackend(ExecutionBackend):
             backend_info=info,
             subgraphs=subgraphs,
         )
+
+
+def _worker_main(
+    key: Tuple[int, int],
+    task_queue,
+    result_queue,
+    shared: SharedGraphBuffers,
+    new_runner,
+    chunk_lists: List[List[int]],
+    plan: Optional[FaultPlan],
+    beat_interval: float,
+) -> None:
+    """Body of worker incarnation ``key = (slot, generation)``.
+
+    Runs leased chunks until the ``None`` sentinel, reporting on
+    ``result_queue`` in the message format :meth:`LeaseTable.receive`
+    reads.
+    """
+    worker_started = time.perf_counter()
+    slot, gen = key
+    stop_beats = threading.Event()
+
+    def beat() -> None:
+        while not stop_beats.wait(beat_interval):
+            try:
+                result_queue.put(("hb", key))
+            except Exception:
+                return
+
+    heartbeats = threading.Thread(target=beat, daemon=True)
+    heartbeats.start()
+
+    def signal_self(signum: int) -> None:
+        # Stop heartbeats first so the signal cannot land inside a
+        # heartbeat put() holding the queue's cross-process lock.
+        stop_beats.set()
+        heartbeats.join(timeout=1.0)
+        os.kill(os.getpid(), signum)
+
+    # Injected faults hit generation 0 only, except poison chunks, which
+    # kill whichever incarnation leases them.
+    plan = plan if plan is not None else FaultPlan()
+    poison = {p.chunk_index for p in plan.mp_poison_chunks}
+    first = gen == 0
+    kills = [k for k in plan.mp_worker_kills if first and k.worker_id == slot]
+    stalls = [s for s in plan.mp_worker_stalls if first and s.worker_id == slot]
+    drops = {
+        d.chunk_number
+        for d in plan.mp_drop_results
+        if first and d.worker_id == slot
+    }
+    try:
+        runner = new_runner(shared.attach(), slot)
+        chunks_done = 0
+        while True:
+            cidx = task_queue.get()
+            if cidx is None:
+                report = {
+                    "metrics": runner.delta(),
+                    "wall": time.perf_counter() - worker_started,
+                }
+                result_queue.put(("done", key, report))
+                return
+            if cidx in poison or any(chunks_done >= k.after_chunks for k in kills):
+                signal_self(signal.SIGKILL)
+            for stall in stalls:
+                if stall.after_chunks == chunks_done:
+                    if stall.freeze:
+                        signal_self(signal.SIGSTOP)
+                    else:
+                        time.sleep(stall.seconds)
+            result_queue.put(("lease", key, cidx))
+            payload = runner.run(chunk_lists[cidx])
+            if chunks_done not in drops:
+                result_queue.put(("chunk", key, cidx, payload))
+            chunks_done += 1
+    except Exception:
+        try:
+            result_queue.put(("error", key, traceback.format_exc()))
+        except Exception:
+            pass
+    finally:
+        stop_beats.set()
 
 
 def fork_unavailable_message() -> str:

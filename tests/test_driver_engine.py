@@ -172,3 +172,39 @@ class TestStepReports:
         assert step.cluster is not None
         assert len(step.cluster.cores) == 2
         assert step.cluster.makespan_units > 0
+
+
+class TestMetricsArithmetic:
+    def test_cost_unit_counters_start_as_floats(self):
+        snapshot = Metrics().snapshot()
+        floats = {name for name, value in snapshot.items() if type(value) is float}
+        assert floats == {
+            "steal_work_units",
+            "agg_ship_units",
+            "agg_combine_units",
+            "detection_latency_units",
+            "wasted_work_units",
+            "parked_units",
+        }
+        assert all(value == 0 for value in snapshot.values())
+
+    def test_merge_sums_counters_and_maxes_peaks(self):
+        total, part = Metrics(), Metrics()
+        total.extension_tests, part.extension_tests = 3, 4
+        total.peak_enumerator_bytes, part.peak_enumerator_bytes = 10, 7
+        part.parked_units = 1.5
+        total.merge(part)
+        assert total.extension_tests == 7
+        assert total.peak_enumerator_bytes == 10
+        assert total.parked_units == 1.5
+
+    def test_delta_ships_differences_and_absolute_peaks(self):
+        metrics = Metrics()
+        metrics.extension_tests = 5
+        metrics.peak_aggregation_entries = 9
+        before = metrics.snapshot()
+        metrics.extension_tests = 8
+        delta = metrics.delta(before)
+        assert delta["extension_tests"] == 3
+        assert delta["peak_aggregation_entries"] == 9
+        assert metrics.delta({}) == metrics.snapshot()
