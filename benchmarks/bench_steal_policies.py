@@ -1,6 +1,4 @@
-"""Steal-policy and event-scheduler benchmark.
-
-Measures the PR's scheduler work against the seed behaviour it replaces:
+"""Steal-policy benchmark.
 
 ``steal_traffic`` (headline, 3x message-reduction target)
     A straggler-skewed clique workload on an external-stealing cluster.
@@ -11,19 +9,9 @@ Measures the PR's scheduler work against the seed behaviour it replaces:
     *simulated* quantities — deterministic, so the targets are asserted
     exactly in every mode.
 
-``event_scheduler`` (headline, 2x wall-clock target at 280 cores)
-    The same engine run twice — ``scheduler="event"`` (idle-core parking
-    + stealable-work registry) vs ``scheduler="poll"`` (the seed's
-    busy-wait loop, kept verbatim) — on a wide cluster where most cores
-    are idle most of the time.  Simulated clocks, per-core outcomes and
-    metrics must be byte-identical; only host wall-clock and scheduler
-    bookkeeping may differ.  The wall-clock target is enforced in full
-    mode only (CI machines are noisy); the *event-count* reduction and
-    the victim-scan reduction are deterministic and always asserted.
-
 Correctness checks recorded for the CI smoke job: result multisets and
 finalized aggregation views identical across policies (with and without
-faults), and the poll/event fingerprint equality.
+faults).
 """
 
 from __future__ import annotations
@@ -31,10 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -48,45 +35,6 @@ from bench_schema import make_header  # noqa: E402
 from dlb_scenarios import clique_fractoid, straggler_plan  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_steal_policies.json"
-
-# Counters the event scheduler introduced; excluded from the poll/event
-# fingerprint (each scheduler accounts its own bookkeeping).
-SCHEDULER_COUNTERS = (
-    "scheduler_events",
-    "scheduler_requeues",
-    "cores_parked",
-    "wake_events",
-    "parked_units",
-    "victim_scan_steps",
-    "steal_chunk_extensions",
-)
-
-
-def fingerprint(report):
-    totals = report.metrics.snapshot()
-    for key in SCHEDULER_COUNTERS:
-        totals.pop(key)
-    cores = tuple(
-        (
-            core.core_id,
-            core.finish_units,
-            core.busy_units,
-            core.steal_units,
-            core.steals_internal,
-            core.steals_external,
-            core.failed,
-        )
-        for step in report.steps
-        if step.cluster is not None
-        for core in step.cluster.cores
-    )
-    return (
-        report.result_count,
-        report.simulated_seconds,
-        tuple(sorted(totals.items())),
-        cores,
-    )
-
 
 # ----------------------------------------------------------------------
 # Workload 1: steal traffic under the chunking policies
@@ -125,52 +73,6 @@ def run_steal_traffic(graph, workers, cores, plan, policies) -> Dict[str, dict]:
         )
     if len(counts) != 1:
         raise AssertionError(f"result counts diverged across policies: {counts}")
-    return records
-
-
-# ----------------------------------------------------------------------
-# Workload 2: event scheduler vs the seed polling loop
-# ----------------------------------------------------------------------
-def run_scheduler_comparison(graph, workers, cores, reps) -> Dict[str, dict]:
-    records: Dict[str, dict] = {}
-    prints = {}
-    for scheduler in ("event", "poll"):
-        config = ClusterConfig(
-            workers=workers,
-            cores_per_worker=cores,
-            ws_internal=True,
-            ws_external=True,
-            scheduler=scheduler,
-        )
-        walls: List[float] = []
-        report = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            report = clique_fractoid(graph, config).execute(collect="count")
-            walls.append(time.perf_counter() - t0)
-        m = report.metrics
-        records[scheduler] = {
-            "wall_s": [round(t, 4) for t in walls],
-            "wall_best_s": round(min(walls), 4),
-            "simulated_s": round(report.simulated_seconds, 6),
-            "scheduler_events": m.scheduler_events,
-            "scheduler_requeues": m.scheduler_requeues,
-            "victim_scan_steps": m.victim_scan_steps,
-            "cores_parked": m.cores_parked,
-            "wake_events": m.wake_events,
-        }
-        prints[scheduler] = fingerprint(report)
-        print(
-            f"  {scheduler:6s} wall {min(walls):.3f}s  "
-            f"sim {report.simulated_seconds:.4f}s  "
-            f"events {m.scheduler_events:8d}  "
-            f"victim scans {m.victim_scan_steps:9d}"
-        )
-    if prints["event"] != prints["poll"]:
-        raise AssertionError(
-            "event scheduler is not byte-identical to the polling loop"
-        )
-    records["identical"] = True
     return records
 
 
@@ -230,14 +132,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small cluster, single wall rep (CI smoke); skips wall target",
+        help="CI-sized workload; skips the message-reduction target",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny workload, correctness checks only",
     )
-    parser.add_argument("--reps", type=int, default=None, help="wall-clock reps")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     if args.smoke:
@@ -246,28 +147,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         mode = "quick"
     else:
         mode = "full"
-    reps = args.reps if args.reps is not None else (1 if mode != "full" else 3)
-    if reps < 1:
-        parser.error("--reps must be >= 1")
 
     if mode == "full":
         traffic_graph = powerlaw_graph(400, attach=6, seed=3)
         traffic_shape = (4, 8)
         plan = straggler_plan(12, 12.0)
-        sched_graph = powerlaw_graph(300, attach=4, seed=11)
-        sched_shape = (10, 28)
     elif mode == "quick":
         traffic_graph = powerlaw_graph(250, attach=6, seed=3)
         traffic_shape = (4, 4)
         plan = straggler_plan(6, 12.0)
-        sched_graph = powerlaw_graph(150, attach=4, seed=11)
-        sched_shape = (6, 8)
     else:
         traffic_graph = powerlaw_graph(120, attach=5, seed=3)
         traffic_shape = (2, 4)
         plan = straggler_plan(3, 12.0)
-        sched_graph = powerlaw_graph(80, attach=4, seed=11)
-        sched_shape = (2, 8)
     policies = ("one", "half", "chunk:16")
 
     print(
@@ -283,28 +175,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     makespan_lower = traffic["half"]["makespan_s"] < traffic["one"]["makespan_s"]
 
-    print(
-        f"event scheduler: {sched_graph.n_vertices}v/{sched_graph.n_edges}e, "
-        f"{sched_shape[0]}x{sched_shape[1]} = "
-        f"{sched_shape[0] * sched_shape[1]} cores"
-    )
-    sched = run_scheduler_comparison(sched_graph, *sched_shape, reps)
-    wall_speedup = sched["poll"]["wall_best_s"] / sched["event"]["wall_best_s"]
-    event_reduction = (
-        sched["poll"]["scheduler_events"] / sched["event"]["scheduler_events"]
-    )
-    scan_reduction = (
-        sched["poll"]["victim_scan_steps"]
-        / max(1, sched["event"]["victim_scan_steps"])
-    )
-
     print("correctness checks:")
     checks = check_policy_transparency(
         powerlaw_graph(70, attach=4, seed=5), straggler_plan(2, 6.0)
-    )
-    checks["poll_event_identical"] = sched["identical"]
-    checks["events_reduced"] = (
-        sched["event"]["scheduler_events"] < sched["poll"]["scheduler_events"]
     )
     for key, value in checks.items():
         print(f"  {key}: {value}")
@@ -325,30 +198,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "enforced": True,
             "met": makespan_lower,
         },
-        "wall_speedup_280_cores": {
-            "required": 2.0,
-            "achieved": round(wall_speedup, 3),
-            "enforced": mode == "full",
-            "met": wall_speedup >= 2.0,
-        },
-        "event_count_reduced": {
-            "required": True,
-            "achieved": checks["events_reduced"],
-            "enforced": True,
-            "met": checks["events_reduced"],
-        },
     }
     payload = {
         **make_header(
             "steal_policies",
-            {"mode": mode, "reps": reps},
+            {"mode": mode},
             f"chunked stealing cuts steal messages "
-            f"{message_reduction:.2f}x; {wall_speedup:.1f}x wall speedup "
-            f"at {sched_shape[0] * sched_shape[1]} simulated cores",
+            f"{message_reduction:.2f}x",
         ),
         "generated_by": "benchmarks/bench_steal_policies.py",
         "mode": mode,
-        "reps": reps,
         "workloads": {
             "steal_traffic": {
                 "graph": {
@@ -364,21 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 },
                 "policies": traffic,
                 "message_reduction_half_vs_one": round(message_reduction, 3),
-            },
-            "event_scheduler": {
-                "graph": {
-                    "vertices": sched_graph.n_vertices,
-                    "edges": sched_graph.n_edges,
-                },
-                "cluster": {
-                    "workers": sched_shape[0],
-                    "cores_per_worker": sched_shape[1],
-                    "total_cores": sched_shape[0] * sched_shape[1],
-                },
-                "schedulers": {k: v for k, v in sched.items() if k != "identical"},
-                "wall_speedup": round(wall_speedup, 3),
-                "event_reduction": round(event_reduction, 3),
-                "victim_scan_reduction": round(scan_reduction, 3),
             },
         },
         "checks": checks,
@@ -397,11 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             t = targets[name]
             print(f"FAIL: {name} achieved {t['achieved']} < {t['required']}")
         return 1
-    print(
-        f"message reduction {message_reduction:.2f}x (target 3x), "
-        f"wall speedup {wall_speedup:.2f}x (target 2x), "
-        f"event reduction {event_reduction:.2f}x"
-    )
+    print(f"message reduction {message_reduction:.2f}x (target 3x)")
     return 0
 
 

@@ -127,14 +127,13 @@ class Scenario:
             self.graph_vertices, attach=self.graph_attach, seed=self.graph_seed
         )
 
-    def config(self, policy: str, scheduler: str = "event") -> ClusterConfig:
+    def config(self, policy: str) -> ClusterConfig:
         return ClusterConfig(
             workers=self.workers,
             cores_per_worker=self.cores_per_worker,
             ws_internal=self.ws_internal,
             ws_external=self.ws_external,
             steal_policy=policy,
-            scheduler=scheduler,
             fault_plan=self.fault_plan,
             link_latency=self.link_latency,
         )

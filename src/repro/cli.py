@@ -242,8 +242,7 @@ def _print_scheduler(report) -> None:
     summary = report.scheduler_summary()
     print(
         "scheduler: "
-        f"{summary['events']:.0f} events "
-        f"({summary['requeues']:.0f} stale), "
+        f"{summary['events']:.0f} events, "
         f"{summary['parks']:.0f} parks / "
         f"{summary['wake_events']:.0f} wakes "
         f"({summary['parked_units']:.1f} units parked), "

@@ -30,6 +30,26 @@ __all__ = [
 ]
 
 
+def _ints(tokens: List[str], where: str) -> List[int]:
+    """Parse integer fields of the line at ``where`` (``path:lineno``)."""
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise GraphError(
+            f"{where}: expected integers, got {' '.join(tokens)!r}"
+        ) from None
+
+
+def _add_edge(
+    builder: GraphBuilder, where: str, u: int, v: int, label: int = 0
+) -> None:
+    """``builder.add_edge`` with any rejection located at ``where``."""
+    try:
+        builder.add_edge(u, v, label=label)
+    except GraphError as exc:
+        raise GraphError(f"{where}: {exc}") from None
+
+
 def load_adjacency_list(path: str, name: str = "") -> Graph:
     """Load a graph in Arabesque/Fractal adjacency-list format.
 
@@ -46,22 +66,22 @@ def load_adjacency_list(path: str, name: str = "") -> Graph:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if len(parts) < 2:
-                raise GraphError(f"{path}:{lineno}: expected '<id> <label> ...'")
-            vid, label = int(parts[0]), int(parts[1])
+                raise GraphError(f"{where}: expected '<id> <label> ...'")
+            vid, label, *neighbors = _ints(parts, where)
             if vid != expected:
                 raise GraphError(
-                    f"{path}:{lineno}: vertex ids must be sequential "
+                    f"{where}: vertex ids must be sequential "
                     f"(saw {vid}, expected {expected})"
                 )
             expected += 1
             builder.add_vertex(label=label)
-            for token in parts[2:]:
-                pending_edges.append((vid, int(token)))
-    for u, v in pending_edges:
+            pending_edges.extend((where, vid, u) for u in neighbors)
+    for where, u, v in pending_edges:
         if not builder.has_edge(u, v):
-            builder.add_edge(u, v)
+            _add_edge(builder, where, u, v)
     return builder.build()
 
 
@@ -89,22 +109,28 @@ def load_edge_list(path: str, name: str = "") -> Graph:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if parts[0] == "v":
-                vid, label = int(parts[1]), int(parts[2])
+                if len(parts) != 3:
+                    raise GraphError(f"{where}: expected 'v <id> <label>'")
+                vid, label = _ints(parts[1:], where)
                 if vid != builder.n_vertices:
-                    raise GraphError(f"{path}:{lineno}: non-sequential vertex id {vid}")
+                    raise GraphError(f"{where}: non-sequential vertex id {vid}")
                 builder.add_vertex(label=label)
             elif parts[0] == "e":
-                u, v = int(parts[1]), int(parts[2])
-                label = int(parts[3]) if len(parts) > 3 else 0
-                builder.add_edge(u, v, label=label)
+                if len(parts) not in (3, 4):
+                    raise GraphError(f"{where}: expected 'e <u> <v> [<label>]'")
+                u, v, *label = _ints(parts[1:], where)
+                _add_edge(builder, where, u, v, label=label[0] if label else 0)
             else:
-                u, v = int(parts[0]), int(parts[1])
+                if len(parts) != 2:
+                    raise GraphError(f"{where}: expected '<u> <v>'")
+                u, v = _ints(parts, where)
                 while builder.n_vertices <= max(u, v):
                     builder.add_vertex()
                 if not builder.has_edge(u, v):
-                    builder.add_edge(u, v)
+                    _add_edge(builder, where, u, v)
     return builder.build()
 
 
@@ -144,13 +170,20 @@ def load_keywords(graph: Graph, path: str) -> Graph:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
+            if parts[0] not in ("v", "e") or len(parts) < 2:
+                raise GraphError(f"{where}: expected 'v' or 'e' line")
+            (element,) = _ints(parts[1:2], where)
             if parts[0] == "v":
-                vertex_words[int(parts[1])] = parts[2:]
-            elif parts[0] == "e":
-                edge_words[int(parts[1])] = parts[2:]
+                words, count, kind = vertex_words, graph.n_vertices, "vertex"
             else:
-                raise GraphError(f"{path}:{lineno}: expected 'v' or 'e' line")
+                words, count, kind = edge_words, graph.n_edges, "edge"
+            if not 0 <= element < count:
+                raise GraphError(
+                    f"{where}: {kind} {element} out of range (graph has {count})"
+                )
+            words[element] = parts[2:]
     builder = GraphBuilder(name=graph.name)
     for v in graph.vertices():
         builder.add_vertex(

@@ -18,6 +18,8 @@ operates on (§4.2):
 * failing that, an **external steal** (WS_ext): pick a victim core on
   another worker and pay the request-message plus prefix-serialization
   cost before the stolen prefix becomes runnable;
+* a core that finds nothing to steal *parks* until a reachable core
+  publishes stealable work, instead of polling for it;
 * level-0 extensions are partitioned round-robin by global core id, as in
   the paper's system initialization.
 
@@ -73,7 +75,7 @@ from .metrics import Metrics
 
 __all__ = ["ClusterConfig", "ClusterEngine", "ClusterStepResult", "CoreReport"]
 
-_WAIT_EPSILON = 1.0  # units an idle core waits before re-checking for work
+_WAIT_EPSILON = 1.0  # units a thief waits before retrying a lost steal message
 
 
 # Sentinel _parse_steal_policy returns for the adaptive policy: chunk
@@ -154,8 +156,7 @@ class ClusterConfig:
     agg_entry_budget: Optional[int] = None
     meter_agg_shuffle: bool = True
     # How much work one successful steal moves (docs/internals.md §10).
-    # ``"one"`` — a single extension per steal, bit-identical to the
-    # original engine (clocks, metrics and results unchanged).
+    # ``"one"`` — a single extension per steal (the paper's protocol).
     # ``"half"`` — Cilk-style steal-half: the thief takes the upper half
     # of the victim frame's remaining extensions in one transfer.
     # ``"chunk:N"`` — at most N extensions per transfer.
@@ -177,12 +178,6 @@ class ClusterConfig:
     # ``None`` (the default) keeps the uniform network of prior releases
     # — every clock bit-identical.
     link_latency: Optional[Tuple[Tuple[int, int, float], ...]] = None
-    # ``"event"`` (default) parks idle cores and wakes them on published
-    # work — same simulated behaviour as the legacy polling loop, orders
-    # of magnitude fewer host-side scheduler events on wide clusters.
-    # ``"poll"`` keeps the original busy-poll loop as a reference
-    # implementation for equivalence testing.
-    scheduler: str = "event"
     # Candidate-generation kernel for pattern-induced strategies
     # (docs/internals.md §11, §14).  ``"legacy"`` scans the first back
     # neighbor's whole adjacency (bit-identical to the original engine);
@@ -248,10 +243,6 @@ class ClusterConfig:
                     )
                 seen.add(pair)
                 _check_clock(units, f"link latency for workers {src}<->{dst}")
-        if self.scheduler not in ("event", "poll"):
-            raise ValueError(
-                f"scheduler must be 'event' or 'poll', got {self.scheduler!r}"
-            )
         _check_kernel(self.pattern_kernel)
         if self.order_policy is not None:
             _check_policy(self.order_policy)
@@ -347,8 +338,7 @@ class CoreReport:
     agg_entries_shipped: int = 0
     # Scheduler-efficiency view of this core: simulated units spent parked
     # (idle, waiting for stealable work to be published), wake
-    # notifications received, and extensions moved by its steals.  Under
-    # the legacy poll scheduler the first two stay zero.
+    # notifications received, and extensions moved by its steals.
     parked_units: float = 0.0
     wake_events: int = 0
     steal_chunk_extensions: int = 0
@@ -420,7 +410,6 @@ class _Core:
         "strategy",
         "metrics",
         "computation",
-        "done",
         "peak_stack_bytes",
         "busy_intervals",
         "record_timeline",
@@ -430,9 +419,6 @@ class _Core:
         "detect_at",
         "slowdown",
         "stealable_count",
-        "queued_clock",
-        "parked",
-        "pend",
         "park_start",
         "deadline",
     )
@@ -459,7 +445,6 @@ class _Core:
         self.subgraph: Subgraph = strategy.make_subgraph()
         self.metrics = computation.metrics
         self.computation = computation
-        self.done = False
         self.peak_stack_bytes = 0
         self.busy_intervals: List[Tuple[float, float]] = []
         self.record_timeline = record_timeline
@@ -468,17 +453,11 @@ class _Core:
         self.death_clock = 0.0
         self.detect_at = 0.0
         self.slowdown = None  # straggler factor fn, set when a plan has windows
-        # Event-scheduler state (docs/internals.md §10): number of frames
-        # on the stack that are stealable and non-exhausted (the registry
-        # key), the clock stamped on this core's live heap entry (None =
-        # not enqueued; stale entries are lazily discarded on pop), and
-        # the parked-core bookkeeping — ``pend`` is the clock the core's
-        # next *virtual* poll would run at, ``park_start`` when idleness
-        # began (for the parked-time metric).
+        # Scheduler state (docs/internals.md §10): number of frames on the
+        # stack that are stealable and non-exhausted (the registry key),
+        # and the clock the core last parked at (for the parked-time
+        # metric).
         self.stealable_count = 0
-        self.queued_clock: Optional[float] = None
-        self.parked = False
-        self.pend = 0.0
         self.park_start = 0.0
         self.deadline: Optional[float] = None
 
@@ -562,7 +541,6 @@ class _FaultRuntime:
     def on_death(self, core: _Core) -> None:
         """Kill a core: orphan its frames, schedule the detection point."""
         core.failed = True
-        core.done = True
         core.death_clock = core.clock
         core.detect_at = self.detector.detect_at(core.clock)
         # The core's enumerators survive it (lineage recovery); any frame
@@ -768,25 +746,20 @@ class _SchedState:
     empty, or orphaned by a death, so victim selection inspects only real
     candidates instead of rescanning every core's whole stack.
 
-    **Parking** (event scheduler only) — an idle core that finds nothing
-    stealable leaves the event heap instead of re-entering it every
-    ``_WAIT_EPSILON``.  ``pend`` records when its *next* poll would have
-    run; at every heap pop ``(c, i)`` the virtual polls that precede the
-    event are replayed in O(parked) arithmetic (``collapse``): the failed
-    poll re-schedules to ``min(busy_min, dead_detect) + _WAIT_EPSILON``
-    exactly as ``_next_work_clock`` would have, kill deadlines fire at the
-    poll clock, and a poll at or past a reachable detection point becomes
-    a real heap event again.  Publishing a stealable frame wakes every
-    reachable parked core at its current ``pend``.  The replay reproduces
-    the legacy polling loop's clock arithmetic bit-for-bit — equivalence
-    is property-tested against ``scheduler="poll"``.
+    **Parking** — an idle core whose steal finds no victim in reach
+    leaves the event heap.  It is woken, at the clock the new work
+    becomes visible, by the only two events that can give it work: a
+    reachable live core publishing a stealable frame (at ``max(thief
+    clock, publisher clock)``), or a reachable core dying with stealable
+    orphans (at the dead core's detection point).  Parked cores are never
+    in the heap, so every live core has exactly one heap entry and none
+    is ever stale.
     """
 
     __slots__ = (
         "config",
         "cores",
         "runtime",
-        "event",
         "reg_workers",
         "dead_avail",
         "parked",
@@ -803,14 +776,12 @@ class _SchedState:
         self.config = config
         self.cores = cores
         self.runtime = runtime
-        self.event = config.scheduler == "event"
         self.reg_workers: List[set] = [set() for _ in range(config.workers)]
         self.dead_avail: set = set()  # failed core ids with stealable frames
         self.parked: Dict[int, _Core] = {}
         self.heap = heap
         deadlines = runtime.deadlines
         for core in cores:
-            core.parked = False
             core.deadline = deadlines.get(core.core_id)
             count = sum(
                 1 for f in core.stack if f.stealable and f.has_next()
@@ -820,8 +791,17 @@ class _SchedState:
                 self.reg_workers[core.worker_id].add(core.core_id)
                 if core.failed:
                     self.dead_avail.add(core.core_id)
-        for clock, core_id in heap:
-            cores[core_id].queued_clock = clock
+
+    def _reaches(self, thief: _Core, worker_id: int) -> bool:
+        """Whether the steal policy lets ``thief`` steal from ``worker_id``."""
+        if thief.worker_id == worker_id:
+            return self.config.ws_internal
+        return self.config.ws_external
+
+    def _wake_reachable(self, source: _Core, at: float) -> None:
+        for thief in list(self.parked.values()):
+            if self._reaches(thief, source.worker_id):
+                self.wake(thief, max(thief.clock, at))
 
     # -- registry maintenance -----------------------------------------
     def publish(self, core: _Core) -> None:
@@ -830,18 +810,8 @@ class _SchedState:
         if core.stealable_count != 1:
             return
         self.reg_workers[core.worker_id].add(core.core_id)
-        if not self.event or not self.parked or core.failed:
-            # A dead core's orphans are only visible once the detector
-            # fires; parked thieves reach them via ``_dead_wake_at``.
-            return
-        config = self.config
-        w = core.worker_id
-        for thief in list(self.parked.values()):
-            local = thief.worker_id == w
-            if (local and config.ws_internal) or (
-                not local and config.ws_external
-            ):
-                self.unpark(thief)
+        if self.parked:
+            self._wake_reachable(core, core.clock)
 
     def retract(self, core: _Core) -> None:
         """A stealable frame on ``core`` was drained or stolen empty."""
@@ -850,137 +820,60 @@ class _SchedState:
             self.reg_workers[core.worker_id].discard(core.core_id)
             self.dead_avail.discard(core.core_id)
 
-    def on_death(self, core: _Core) -> None:
-        """Recount after a death made every surviving frame stealable."""
+    def kill(self, core: _Core) -> None:
+        """Kill ``core``; its orphans become stealable at its detection point."""
+        self.runtime.on_death(core)
         count = sum(1 for f in core.stack if f.has_next())
         core.stealable_count = count
         if count > 0:
             self.reg_workers[core.worker_id].add(core.core_id)
             self.dead_avail.add(core.core_id)
+            if self.parked:
+                self._wake_reachable(core, core.detect_at)
         else:
             self.reg_workers[core.worker_id].discard(core.core_id)
 
-    # -- parking ------------------------------------------------------
-    def _dead_wake_at(self, thief: _Core) -> Optional[float]:
-        """Earliest detection point of a dead core this thief can reach."""
-        config = self.config
-        cores = self.cores
+    def hidden_dead_at(self, thief: _Core) -> Optional[float]:
+        """Earliest detection point of a dead core whose orphans ``thief``
+        can reach but not yet see."""
         best: Optional[float] = None
         for core_id in self.dead_avail:
-            core = cores[core_id]
-            local = core.worker_id == thief.worker_id
-            if local and not config.ws_internal:
-                continue
-            if not local and not config.ws_external:
+            core = self.cores[core_id]
+            if not self._reaches(thief, core.worker_id):
                 continue
             if best is None or core.detect_at < best:
                 best = core.detect_at
         return best
 
-    def _busy_min(self) -> Optional[float]:
-        """Earliest clock among cores that still run enumeration work."""
-        best: Optional[float] = None
-        for core in self.cores:
-            if core.done or not core.stack:
-                continue
-            if best is None or core.clock < best:
-                best = core.clock
-        return best
-
-    def park(self, core: _Core, idle_since: float) -> None:
-        core.parked = True
-        core.pend = core.clock
-        core.park_start = idle_since
+    # -- parking ------------------------------------------------------
+    def park(self, core: _Core) -> None:
+        core.park_start = core.clock
         core.metrics.cores_parked += 1
         self.parked[core.core_id] = core
 
-    def unpark(self, core: _Core) -> None:
-        """Turn a parked core's next virtual poll into a real heap event."""
+    def wake(self, core: _Core, at: float) -> None:
+        """Return a parked core to the heap at clock ``at``."""
         del self.parked[core.core_id]
-        core.parked = False
         core.metrics.wake_events += 1
-        core.metrics.parked_units += core.pend - core.park_start
-        core.clock = core.pend
-        core.queued_clock = core.clock
-        heapq.heappush(self.heap, (core.clock, core.core_id))
+        core.metrics.parked_units += at - core.park_start
+        core.clock = at
+        heapq.heappush(self.heap, (at, core.core_id))
 
-    def _finish_parked(self, core: _Core) -> None:
-        """A parked core's poll found the cluster drained: it exits."""
-        del self.parked[core.core_id]
-        core.parked = False
-        core.metrics.parked_units += core.pend - core.park_start
-        core.clock = core.pend
-        core.done = True
+    def retire_parked(self) -> None:
+        """The heap ran dry: every parked core exits at the drain clock.
 
-    def _die_parked(self, core: _Core) -> None:
-        """A parked core's virtual poll ran past its kill deadline."""
-        del self.parked[core.core_id]
-        core.parked = False
-        core.metrics.parked_units += core.pend - core.park_start
-        core.clock = core.pend
-        self.runtime.on_death(core)
-        self.on_death(core)
-
-    def collapse(self, clock: float, core_id: int, busy_min: Optional[float]) -> None:
-        """Replay parked cores' virtual polls that precede event ``(clock, core_id)``.
-
-        Exactly one failed poll fits between consecutive heap events (the
-        re-poll lands past the event unless a detection point intervenes,
-        in which case the next poll is real and the core wakes).
-        ``busy_min`` is the earliest clock among still-busy cores as the
-        legacy ``_next_work_clock`` would see it — the popped event's own
-        clock when the popped core is busy.
+        The drain clock is the latest clock any core reached; a parked
+        core whose kill deadline falls at or before it dies there.
         """
         if not self.parked:
             return
-        pos = (clock, core_id)
-        for core in list(self.parked.values()):
-            pend = core.pend
-            if (pend, core.core_id) >= pos:
-                continue
-            if core.deadline is not None and pend >= core.deadline:
-                self._die_parked(core)
-                continue
-            dead_at = self._dead_wake_at(core) if self.dead_avail else None
-            if dead_at is not None and pend >= dead_at:
-                # The detector has fired for a reachable dead core: this
-                # poll finds stealable orphans, so it runs for real.
-                self.unpark(core)
-                continue
-            wake = busy_min
-            if dead_at is not None and (wake is None or dead_at < wake):
-                wake = dead_at
-            if wake is None:
-                self._finish_parked(core)
-                continue
-            core.pend = (pend if pend > wake else wake) + _WAIT_EPSILON
-            if dead_at is not None and core.pend >= dead_at:
-                self.unpark(core)
-
-    def drain_parked(self) -> bool:
-        """Heap ran dry with cores still parked: settle their fate.
-
-        Each parked core either exits (nothing reachable can ever produce
-        work), dies at a deadline its virtual polls run past, or wakes at
-        a reachable dead core's detection point.  Returns ``True`` when
-        at least one core re-entered the heap.
-        """
-        woke = False
-        for core in sorted(self.parked.values(), key=lambda c: c.core_id):
-            while True:
-                if core.deadline is not None and core.pend >= core.deadline:
-                    self._die_parked(core)
-                    break
-                dead_at = self._dead_wake_at(core) if self.dead_avail else None
-                if dead_at is None:
-                    self._finish_parked(core)
-                    break
-                if core.pend >= dead_at:
-                    self.unpark(core)
-                    woke = True
-                    break
-                core.pend = dead_at + _WAIT_EPSILON
-        return woke
+        drain_clock = max(core.clock for core in self.cores)
+        parked, self.parked = self.parked, {}
+        for core in parked.values():
+            core.metrics.parked_units += drain_clock - core.park_start
+            core.clock = drain_clock
+            if core.deadline is not None and core.deadline <= drain_clock:
+                self.kill(core)
 
 
 class ClusterEngine:
@@ -1087,11 +980,9 @@ class ClusterEngine:
             # one prefix at a time (its subgraph holds that prefix).
             for target, (victim, frame) in zip(survivors, orphans):
                 self._resubmit(target, victim, frame, cost, runtime)
-            heap = []
-            for core in cores:
-                if not core.failed:
-                    core.done = False
-                    heap.append((core.clock, core.core_id))
+            heap = [
+                (core.clock, core.core_id) for core in cores if not core.failed
+            ]
             heapq.heapify(heap)
             steal_messages += self._drain(
                 heap, cores, storages_per_core, primitives, sink, cost, runtime
@@ -1116,55 +1007,26 @@ class ClusterEngine:
         cost: CostModel,
         runtime: _FaultRuntime,
     ) -> int:
-        """Run the scheduler until no schedulable core has work left."""
-        sched = _SchedState(self.config, cores, runtime, heap)
-        if sched.event:
-            return self._drain_event(
-                heap, cores, storages_per_core, primitives, sink, cost, runtime, sched
-            )
-        return self._drain_poll(
-            heap, cores, storages_per_core, primitives, sink, cost, runtime, sched
-        )
+        """Run the scheduler until every core has exited or died.
 
-    def _drain_poll(
-        self,
-        heap: List[Tuple[float, int]],
-        cores: List[_Core],
-        storages_per_core: List[Dict[int, AggregationStorage]],
-        primitives: Sequence[Primitive],
-        sink,
-        cost: CostModel,
-        runtime: _FaultRuntime,
-        sched: _SchedState,
-    ) -> int:
-        """The legacy polling event loop, kept as the reference scheduler.
-
-        Idle cores re-enter the heap every ``_WAIT_EPSILON`` units; the
-        event scheduler (``_drain_event``) is property-tested to produce
-        bit-identical clocks, metrics and results against this loop.
+        Pops the globally earliest ``(clock, core_id)``: a core with work
+        runs up to ``batch_quantum`` quanta; an idle core tries to steal
+        and, finding no victim in reach, parks until a reachable core
+        publishes work (see ``_SchedState``).
         """
-        config = self.config
-        batch_quantum = config.batch_quantum
-        deadlines = runtime.deadlines
+        sched = _SchedState(self.config, cores, runtime, heap)
+        batch_quantum = self.config.batch_quantum
         sched_metrics = runtime.metrics
         steal_messages = 0
         while heap:
-            clock, core_id = heapq.heappop(heap)
+            _clock, core_id = heapq.heappop(heap)
             core = cores[core_id]
             sched_metrics.scheduler_events += 1
-            if core.done:
-                continue
-            if clock < core.clock:
-                # Stale heap entry; re-queue at the true clock.
-                sched_metrics.scheduler_requeues += 1
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            deadline = deadlines.get(core_id)
-            if deadline is not None and core.clock >= deadline and not core.failed:
+            deadline = core.deadline
+            if deadline is not None and core.clock >= deadline:
                 # The core dies between quanta; the detector will notice
                 # at ``detect_at`` and survivors recover its enumerators.
-                runtime.on_death(core)
-                sched.on_death(core)
+                sched.kill(core)
                 continue
             if core.stack:
                 # Run up to batch_quantum quanta before rescheduling.  At
@@ -1181,115 +1043,26 @@ class ClusterEngine:
                         break
                 heapq.heappush(heap, (core.clock, core_id))
                 continue
-            # Idle: the stack is empty. Try to steal.
-            stolen, messages, _found = self._try_steal(
-                core, cores, cost, runtime, sched
-            )
-            steal_messages += messages
-            if stolen:
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            # Nothing stealable now.  Work may appear when a busy core
-            # spawns frames, or when the detector declares a dead core
-            # and publishes its orphans to a reachable thief.
-            wake = self._next_work_clock(cores, core, config)
-            if wake is None:
-                core.done = True
-                continue
-            core.clock = max(core.clock, wake) + _WAIT_EPSILON
-            heapq.heappush(heap, (core.clock, core_id))
-        return steal_messages
-
-    def _drain_event(
-        self,
-        heap: List[Tuple[float, int]],
-        cores: List[_Core],
-        storages_per_core: List[Dict[int, AggregationStorage]],
-        primitives: Sequence[Primitive],
-        sink,
-        cost: CostModel,
-        runtime: _FaultRuntime,
-        sched: _SchedState,
-    ) -> int:
-        """Event-driven scheduler: parked idle cores, no polling.
-
-        Identical simulated behaviour to ``_drain_poll`` — every clock,
-        metric and result matches bit-for-bit (see ``_SchedState``) — but
-        idle cores leave the heap until stealable work is published, so
-        the host-side event count is proportional to useful work instead
-        of ``idle_cores × events``.
-        """
-        config = self.config
-        batch_quantum = config.batch_quantum
-        sched_metrics = runtime.metrics
-        steal_messages = 0
-        while True:
-            if not heap:
-                if sched.parked and sched.drain_parked():
-                    continue
-                break
-            clock, core_id = heapq.heappop(heap)
-            core = cores[core_id]
-            sched_metrics.scheduler_events += 1
-            if core.done or core.parked or core.queued_clock != clock:
-                # Lazily-invalidated stale entry (the core advanced or
-                # retired through another path); drop it instead of
-                # re-pushing.
-                sched_metrics.scheduler_requeues += 1
-                continue
-            # Replay parked cores' virtual polls preceding this event.
-            busy_min = clock if core.stack else sched._busy_min()
-            sched.collapse(clock, core_id, busy_min)
-            if heap and heap[0] < (clock, core_id):
-                # A wake landed before this event: defer and re-pop in order.
-                heapq.heappush(heap, (clock, core_id))
-                continue
-            core.queued_clock = None
-            deadline = core.deadline
-            if deadline is not None and core.clock >= deadline and not core.failed:
-                runtime.on_death(core)
-                sched.on_death(core)
-                continue
-            if core.stack:
-                storages = storages_per_core[core_id]
-                remaining = batch_quantum
-                while remaining > 0 and core.stack:
-                    self._advance(core, primitives, storages, sink, cost, sched)
-                    remaining -= 1
-                    if deadline is not None and core.clock >= deadline:
-                        break
-                core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            idle_since = core.clock
             stolen, messages, found = self._try_steal(
                 core, cores, cost, runtime, sched
             )
             steal_messages += messages
-            if stolen:
-                core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
-                continue
-            wake = self._next_work_clock(cores, core, config)
-            if wake is None:
-                core.done = True
-                continue
-            core.clock = max(core.clock, wake) + _WAIT_EPSILON
-            if found or self._dead_visible_at(core, sched):
-                # The next poll does something real — a victim existed but
-                # the steal message was lost (the retry draws fresh channel
-                # randomness), or a dead core's orphans become visible by
-                # then.  Keep the core live.
-                core.queued_clock = core.clock
-                heapq.heappush(heap, (core.clock, core_id))
-            else:
-                sched.park(core, idle_since)
+            if not stolen:
+                if found:
+                    # A victim exists but the steal message was lost:
+                    # retry with fresh channel randomness.
+                    core.clock += _WAIT_EPSILON
+                else:
+                    hidden = sched.hidden_dead_at(core)
+                    if hidden is None:
+                        sched.park(core)
+                        continue
+                    # A reachable dead core's orphans become visible at
+                    # its detection point.
+                    core.clock = hidden
+            heapq.heappush(heap, (core.clock, core_id))
+        sched.retire_parked()
         return steal_messages
-
-    def _dead_visible_at(self, core: _Core, sched: _SchedState) -> bool:
-        """Whether a reachable dead core's orphans are visible by ``core.clock``."""
-        dead_at = sched._dead_wake_at(core) if sched.dead_avail else None
-        return dead_at is not None and core.clock >= dead_at
 
     # ------------------------------------------------------------------
     # Setup
@@ -1651,15 +1424,15 @@ class ClusterEngine:
     def _pick_victim(
         self, thief: _Core, cores: List[_Core], same_worker: bool, sched: _SchedState
     ) -> Tuple[Optional[SubgraphEnumerator], Optional[_Core]]:
-        """Pick the round-robin-nearest victim with a stealable frame.
+        """Pick the best victim with a stealable frame from the registry.
 
-        A dead victim's frames are only visible once the thief's clock
+        Candidates rank by ``(victim cost, round-robin distance)``: the
+        cost is the adaptive controller's channel estimate for external
+        steals and 0 otherwise, so fixed policies and internal steals
+        take the round-robin-nearest victim.  The key is unique per
+        candidate, so the choice does not depend on registry order.  A
+        dead victim's frames are only visible once the thief's clock
         passes the failure detector's detection point for that core.
-        The event scheduler consults the stealable-work registry (only
-        cores that actually hold work are inspected — O(1) amortized);
-        the poll scheduler keeps the legacy full scan as the reference.
-        Both return the same victim: the registry is an index over
-        exactly the cores the scan would accept.
         """
         n = len(cores)
         metrics = thief.metrics
@@ -1667,111 +1440,44 @@ class ClusterEngine:
         # the adaptive policy: channels are worker pairs, so intra-worker
         # victims all cost the same and keep the round-robin order.
         controller = self._controller if not same_worker else None
-        if sched.event:
-            if same_worker:
-                candidates = sched.reg_workers[thief.worker_id]
-            else:
-                candidates = [
-                    core_id
-                    for w, members in enumerate(sched.reg_workers)
-                    if w != thief.worker_id
-                    for core_id in members
-                ]
-            if controller is not None:
-                best = None
-                best_key = None
-                best_distance = n
-                near_distance = n
-                for core_id in candidates:
-                    metrics.victim_scan_steps += 1
-                    if core_id == thief.core_id:
-                        continue
-                    candidate = cores[core_id]
-                    if candidate.failed and thief.clock < candidate.detect_at:
-                        continue
-                    distance = (core_id - thief.core_id) % n
-                    if distance < near_distance:
-                        near_distance = distance
-                    # (cost, round-robin distance) is a unique key per
-                    # candidate, so the choice is deterministic no matter
-                    # how the registry orders its members.
-                    key = (
-                        controller.victim_cost(
-                            thief.worker_id, candidate.worker_id, self._links
-                        ),
-                        distance,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = candidate
-                        best_distance = distance
-                if best is None:
-                    return None, None
-                if best_distance > near_distance:
-                    metrics.victim_cost_skips += 1
-                return best.stealable_frame(), best
-            best = None
-            best_distance = n
-            for core_id in candidates:
-                metrics.victim_scan_steps += 1
-                if core_id == thief.core_id:
-                    continue
-                candidate = cores[core_id]
-                if candidate.failed and thief.clock < candidate.detect_at:
-                    continue
-                distance = (core_id - thief.core_id) % n
-                if distance < best_distance:
-                    best_distance = distance
-                    best = candidate
-            if best is None:
-                return None, None
-            return best.stealable_frame(), best
-        if controller is not None:
-            best = None
-            best_frame = None
-            best_key = None
-            best_distance = n
-            near_distance = n
-            for offset in range(1, n):
-                candidate = cores[(thief.core_id + offset) % n]
-                if candidate.worker_id == thief.worker_id:
-                    continue
-                metrics.victim_scan_steps += 1
-                if candidate.failed and thief.clock < candidate.detect_at:
-                    continue
-                frame = candidate.stealable_frame()
-                if frame is None:
-                    continue
-                if offset < near_distance:
-                    near_distance = offset
-                key = (
-                    controller.victim_cost(
-                        thief.worker_id, candidate.worker_id, self._links
-                    ),
-                    offset,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = candidate
-                    best_frame = frame
-                    best_distance = offset
-            if best is None:
-                return None, None
-            if best_distance > near_distance:
-                metrics.victim_cost_skips += 1
-            return best_frame, best
-        for offset in range(1, n):
-            candidate = cores[(thief.core_id + offset) % n]
-            is_local = candidate.worker_id == thief.worker_id
-            if is_local != same_worker:
-                continue
+        if same_worker:
+            candidates = sched.reg_workers[thief.worker_id]
+        else:
+            candidates = [
+                core_id
+                for w, members in enumerate(sched.reg_workers)
+                if w != thief.worker_id
+                for core_id in members
+            ]
+        best = None
+        best_key = None
+        near_distance = n
+        for core_id in candidates:
             metrics.victim_scan_steps += 1
+            if core_id == thief.core_id:
+                continue
+            candidate = cores[core_id]
             if candidate.failed and thief.clock < candidate.detect_at:
                 continue
-            frame = candidate.stealable_frame()
-            if frame is not None:
-                return frame, candidate
-        return None, None
+            distance = (core_id - thief.core_id) % n
+            if distance < near_distance:
+                near_distance = distance
+            victim_cost = (
+                0.0
+                if controller is None
+                else controller.victim_cost(
+                    thief.worker_id, candidate.worker_id, self._links
+                )
+            )
+            key = (victim_cost, distance)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = candidate
+        if best is None:
+            return None, None
+        if best_key[1] > near_distance:
+            metrics.victim_cost_skips += 1
+        return best.stealable_frame(), best
 
     def _transfer(
         self,
@@ -1864,36 +1570,6 @@ class ClusterEngine:
         target.metrics.steal_work_units += units
         runtime.metrics.wasted_work_units += units
         runtime.note_recovery(target, ec_before, scans_before, len(words))
-
-    def _next_work_clock(
-        self, cores: List[_Core], thief: _Core, config: ClusterConfig
-    ) -> Optional[float]:
-        """Earliest clock at which stealable work may appear for ``thief``.
-
-        Busy cores may spawn frames at their current clock; a dead core's
-        orphans become visible at its detection point — but only count if
-        the stealing policy lets this thief reach them.
-        """
-        best: Optional[float] = None
-        for core in cores:
-            if core.core_id == thief.core_id:
-                continue
-            if core.failed:
-                local = core.worker_id == thief.worker_id
-                if local and not config.ws_internal:
-                    continue
-                if not local and not config.ws_external:
-                    continue
-                if core.stealable_count <= 0:
-                    continue
-                candidate = core.detect_at
-            else:
-                if core.done or not core.stack:
-                    continue
-                candidate = core.clock
-            if best is None or candidate < best:
-                best = candidate
-        return best
 
     # ------------------------------------------------------------------
     # Collection

@@ -101,22 +101,21 @@ class ExecutionReport:
         """Scheduler-efficiency observability rolled up over all steps.
 
         Meters the scheduler itself, not the mined workload: heap pops
-        (``events``) and lazily-invalidated stale entries, idle-core
-        parking (park episodes, wake notifications, total parked
-        simulated units), victim-scan work of the stealable registry,
-        and chunked-steal volume (``steal_chunk_extensions`` over
-        ``steals`` gives the mean extensions moved per successful
-        steal).  Parking/wake counters stay zero on the sequential
-        engine and under ``scheduler="poll"``; the adaptive counters
-        (steal-degree adjustments, cost-preferred victim picks, and
-        ``adaptive_chunk_mean`` — extensions per controller-sized
-        steal) stay zero under the fixed steal policies.
+        (``events``), idle-core parking (park episodes, wake
+        notifications from published work or detected deaths, total
+        parked simulated units), victim-scan work of the stealable
+        registry, and chunked-steal volume (``steal_chunk_extensions``
+        over ``steals`` gives the mean extensions moved per successful
+        steal).  Every counter stays zero on the sequential engine; the
+        adaptive counters (steal-degree adjustments, cost-preferred
+        victim picks, and ``adaptive_chunk_mean`` — extensions per
+        controller-sized steal) stay zero under the fixed steal
+        policies.
         """
         m = self.metrics
         steals = m.steals_internal + m.steals_external
         return {
             "events": m.scheduler_events,
-            "requeues": m.scheduler_requeues,
             "parks": m.cores_parked,
             "wake_events": m.wake_events,
             "parked_units": m.parked_units,

@@ -18,12 +18,12 @@ The paper's evaluation is expressed in a handful of measurable quantities:
   steal retries and message-fault counts.  These stay zero in
   failure-free runs; under a fault plan they quantify the cost of the
   paper's from-scratch recovery story while results stay identical;
-* scheduler efficiency — event-loop pops and lazily-invalidated stale
-  heap entries, idle-core parking (park events, wake notifications,
-  parked simulated time), victim-scan work of the stealable registry,
-  and the extensions moved per steal under chunked steal policies.
-  These meter the *scheduler*, not the mined workload: results and
-  legacy counters are identical whichever scheduler/policy runs.
+* scheduler efficiency — event-loop pops, idle-core parking (park
+  events, wake notifications, parked simulated time), victim-scan work
+  of the stealable registry, and the extensions moved per steal under
+  chunked steal policies.  These meter the *scheduler*, not the mined
+  workload: results and legacy counters are identical whichever steal
+  policy runs.
   Under ``steal_policy="adaptive"`` four more counters track the
   controller (all zero under fixed policies): steal-degree AIMD
   adjustments (``steal_degree_adjustments``), victims chosen over a
@@ -130,7 +130,6 @@ class Metrics:
         "steal_messages_duplicated",
         "steal_messages_delayed",
         "scheduler_events",
-        "scheduler_requeues",
         "cores_parked",
         "wake_events",
         "parked_units",

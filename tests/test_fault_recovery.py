@@ -383,51 +383,51 @@ def chaos_case(draw):
     graph_seed = draw(st.integers(min_value=0, max_value=10_000))
     workers = draw(st.integers(min_value=1, max_value=2))
     cores = draw(st.integers(min_value=2, max_value=3))
-    ws_int = draw(st.booleans())
-    ws_ext = draw(st.booleans())
     plan_seed = draw(st.integers(min_value=0, max_value=10_000))
     horizon = draw(st.floats(min_value=10.0, max_value=2000.0))
-    return (n, m, graph_seed, workers, cores, ws_int, ws_ext, plan_seed, horizon)
+    config = dict(
+        workers=workers,
+        cores_per_worker=cores,
+        ws_internal=draw(st.booleans()),
+        ws_external=draw(st.booleans()),
+        steal_policy=draw(
+            st.sampled_from(
+                ["one", "half", "adaptive"]
+                + [f"chunk:{k}" for k in (1, 2, 5)]
+            )
+        ),
+        batch_quantum=draw(st.integers(min_value=1, max_value=4)),
+        partition=draw(st.sampled_from([None, "hash", "vertexcut"])),
+    )
+    return n, m, graph_seed, plan_seed, horizon, config
 
 
 class TestChaosProperty:
-    @settings(max_examples=12, deadline=None)
+    """Random cluster configs under random fault plans mine exactly what
+    the sequential engine mines."""
+
+    @settings(max_examples=16, deadline=None)
     @given(chaos_case(), st.sampled_from(["cliques", "induced", "census"]))
     def test_results_identical_under_random_fault_plans(self, case, app):
-        (
-            n,
-            m,
-            graph_seed,
-            workers,
-            cores,
-            ws_int,
-            ws_ext,
-            plan_seed,
-            horizon,
-        ) = case
+        n, m, graph_seed, plan_seed, horizon, config = case
         graph = erdos_renyi_graph(n, m, n_labels=2, seed=graph_seed)
-        plan = FaultPlan.from_seed(plan_seed, workers, cores, horizon)
-        base = dict(
-            workers=workers,
-            cores_per_worker=cores,
-            ws_internal=ws_int,
-            ws_external=ws_ext,
+        plan = FaultPlan.from_seed(
+            plan_seed, config["workers"], config["cores_per_worker"], horizon
         )
-        clean_cfg = ClusterConfig(**base)
-        fault_cfg = ClusterConfig(**base, fault_plan=plan)
+        fault_cfg = ClusterConfig(**config, fault_plan=plan)
         if app == "census":
-            assert _census(graph, fault_cfg) == _census(graph, clean_cfg)
+            assert _census(graph, fault_cfg) == _census(graph, "sequential")
             return
         if app == "cliques":
-            clean = _clique_fractoid(
-                FractalContext(engine=clean_cfg), graph
-            ).execute(collect="count")
+            clean = _clique_fractoid(FractalContext(), graph).execute(
+                collect="count"
+            )
             faulty = _clique_fractoid(
                 FractalContext(engine=fault_cfg), graph
             ).execute(collect="count")
         else:
             clean = (
-                FractalContext(engine=clean_cfg)
+                FractalContext()
                 .from_graph(graph)
                 .vfractoid()
                 .expand(3)

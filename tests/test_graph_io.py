@@ -1,5 +1,7 @@
 """Round-trip tests for graph serialization."""
 
+import re
+
 import pytest
 
 from repro.graph import (
@@ -109,6 +111,61 @@ class TestKeywordSidecar:
         path = tmp_path / "bad.keywords"
         path.write_text("x 0 word\n")
         with pytest.raises(GraphError):
+            load_keywords(labeled_graph, str(path))
+
+
+class TestMalformedLines:
+    """Every malformed line raises a GraphError naming ``path:lineno``."""
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("v 1\n", 1),  # vertex line without a label
+            ("e 0\n", 1),  # edge line without a target
+            ("v 0 1\nv 1 x\n", 2),
+            ("v 0 1\nv 1 1\ne 0 x\n", 3),
+            ("v 0 1\nv 1 1\ne 0 5\n", 3),  # endpoint out of range
+            ("v 0 1\nv 1 1\ne 0 1 2 3\n", 3),
+            ("0 1\n1 1\n", 2),  # self-loop
+            ("0 1\n0\n", 2),
+            ("0 1 2\n", 1),
+        ],
+    )
+    def test_edge_list(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.el"
+        path.write_text(text)
+        with pytest.raises(GraphError, match="^" + re.escape(f"{path}:{lineno}: ")):
+            load_edge_list(str(path))
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("0 1 x\n", 1),  # non-integer neighbor
+            ("0 x\n", 1),  # non-integer label
+            ("0 1 1\n1 1 7\n", 2),  # neighbor id out of range
+            ("0 1 1\n1 1 -1\n", 2),
+            ("# header\n0 1 0\n", 2),  # self-loop
+        ],
+    )
+    def test_adjacency_list(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.adj"
+        path.write_text(text)
+        with pytest.raises(GraphError, match="^" + re.escape(f"{path}:{lineno}: ")):
+            load_adjacency_list(str(path))
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("v\n", 1),
+            ("v 0 red\nv x blue\n", 2),
+            ("e 999 word\n", 1),  # edge id out of range
+            ("v -1 word\n", 1),
+        ],
+    )
+    def test_keywords(self, tmp_path, labeled_graph, text, lineno):
+        path = tmp_path / "bad.keywords"
+        path.write_text(text)
+        with pytest.raises(GraphError, match="^" + re.escape(f"{path}:{lineno}: ")):
             load_keywords(labeled_graph, str(path))
 
 

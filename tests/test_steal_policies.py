@@ -7,11 +7,12 @@ Three invariants guard this subsystem:
    mined: result multisets and finalized aggregation views are
    identical across policies, under every work-stealing configuration
    and fault schedule.
-2. **Exact replay** — the event-driven scheduler with the default
-   ``"one"`` policy is a drop-in replacement for the legacy polling
-   loop: per-core clocks, per-core steal counts, step totals and
-   simulated makespans are *byte-identical*, including under injected
-   faults (the parked-core collapse replays every virtual failed poll).
+2. **Scheduler contract** — an idle core that finds no victim in reach
+   parks until a reachable core publishes stealable work or dies with
+   stealable orphans, and wakes at the clock that work becomes visible.
+   The schedule is deterministic: the same config replays per-core
+   clocks, counters and makespans exactly, also under injected faults,
+   and no core is ever busy and parked at once.
 3. **Setup metering** — level-0 root enumeration is cluster setup, not
    core 0's work: its probes are metered engine-side, step totals are
    unchanged, and core 0's per-core counters stay clean.
@@ -23,26 +24,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, FractalContext, Pattern
+from repro.core.enumerator import SubgraphEnumerator
 from repro.graph import erdos_renyi_graph, powerlaw_graph
-from repro.runtime.cluster import ClusterEngine, _parse_steal_policy
+from repro.runtime.cluster import (
+    ClusterEngine,
+    _FaultRuntime,
+    _parse_steal_policy,
+    _SchedState,
+)
 from repro.runtime.faults import (
     CoreFailure,
     FaultPlan,
     MessageFaults,
     StragglerWindow,
-)
-
-# Counters introduced by the event scheduler; excluded from the
-# poll-vs-event fingerprint because the two schedulers account their own
-# bookkeeping differently (everything else must match exactly).
-SCHEDULER_COUNTERS = (
-    "scheduler_events",
-    "scheduler_requeues",
-    "cores_parked",
-    "wake_events",
-    "parked_units",
-    "victim_scan_steps",
-    "steal_chunk_extensions",
 )
 
 WS_CONFIGS = [(False, False), (True, False), (False, True), (True, True)]
@@ -56,14 +50,13 @@ FAULT_PLAN = FaultPlan(
 )
 
 
-def _config(ws_int, ws_ext, policy="one", scheduler="event", fault_plan=None):
+def _config(ws_int, ws_ext, policy="one", fault_plan=None):
     return ClusterConfig(
         workers=2,
         cores_per_worker=3,
         ws_internal=ws_int,
         ws_external=ws_ext,
         steal_policy=policy,
-        scheduler=scheduler,
         fault_plan=fault_plan,
     )
 
@@ -99,29 +92,35 @@ def _result_multiset(graph, config):
     return Counter((s.vertices, s.edges) for s in report.subgraphs)
 
 
+def _core_reports(report):
+    return [
+        core
+        for step in report.steps
+        if step.cluster is not None
+        for core in step.cluster.cores
+    ]
+
+
 def _fingerprint(report):
-    """Everything the paper's simulation publishes, minus scheduler meta."""
-    totals = report.metrics.snapshot()
-    for key in SCHEDULER_COUNTERS:
-        totals.pop(key)
+    """Everything the simulation publishes: totals and per-core outcomes."""
     cores = tuple(
         (
             core.core_id,
             core.finish_units,
             core.busy_units,
             core.steal_units,
+            core.parked_units,
+            core.wake_events,
             core.steals_internal,
             core.steals_external,
             core.failed,
         )
-        for step in report.steps
-        if step.cluster is not None
-        for core in step.cluster.cores
+        for core in _core_reports(report)
     )
     return (
         report.result_count,
         report.simulated_seconds,
-        tuple(sorted(totals.items())),
+        tuple(sorted(report.metrics.snapshot().items())),
         cores,
     )
 
@@ -139,10 +138,6 @@ class TestPolicyValidation:
     )
     def test_valid_policy_accepted(self, policy):
         ClusterConfig(workers=1, cores_per_worker=2, steal_policy=policy)
-
-    def test_invalid_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            ClusterConfig(workers=1, cores_per_worker=2, scheduler="fibers")
 
     def test_parse(self):
         assert _parse_steal_policy("one") == 1
@@ -233,61 +228,115 @@ class TestPolicyTransparency:
         )
 
 
+FAULTS = pytest.mark.parametrize(
+    "fault",
+    [None, "fail_at", "plan"],
+    ids=["healthy", "fail_at", "fault_plan"],
+)
+
+
+def _fault_config(ws_int, ws_ext, fault):
+    kwargs = {}
+    if fault == "fail_at":
+        kwargs["fail_at"] = {1: 50.0, 4: 120.0}
+    elif fault == "plan":
+        kwargs["fault_plan"] = FAULT_PLAN
+    return ClusterConfig(
+        workers=2,
+        cores_per_worker=3,
+        ws_internal=ws_int,
+        ws_external=ws_ext,
+        **kwargs,
+    )
+
+
 class TestExactReplay:
-    """scheduler="event" with policy "one" replays scheduler="poll" exactly."""
+    """The scheduler contract: idle cores park and wake on published work
+    or detected deaths, and the same config replays exactly."""
 
     @pytest.mark.parametrize("ws_int,ws_ext", WS_CONFIGS)
-    @pytest.mark.parametrize(
-        "fault",
-        [None, "fail_at", "plan"],
-        ids=["healthy", "fail_at", "fault_plan"],
-    )
+    @FAULTS
     def test_cliques_byte_identical(self, ws_int, ws_ext, fault):
         graph = powerlaw_graph(80, attach=4, seed=11)
-        kwargs = {}
-        if fault == "fail_at":
-            kwargs["fail_at"] = {1: 50.0, 4: 120.0}
-        elif fault == "plan":
-            kwargs["fault_plan"] = FAULT_PLAN
-        reports = {}
-        for scheduler in ("event", "poll"):
-            config = ClusterConfig(
-                workers=2,
-                cores_per_worker=3,
-                ws_internal=ws_int,
-                ws_external=ws_ext,
-                scheduler=scheduler,
-                **kwargs,
-            )
-            reports[scheduler] = _clique_fractoid(graph, config).execute(
-                collect="count"
-            )
-        assert _fingerprint(reports["event"]) == _fingerprint(reports["poll"])
+        config = _fault_config(ws_int, ws_ext, fault)
+        first = _clique_fractoid(graph, config).execute(collect="count")
+        second = _clique_fractoid(graph, config).execute(collect="count")
+        assert _fingerprint(first) == _fingerprint(second)
+        # A core is never busy and parked at once.
+        for core in _core_reports(first):
+            assert core.busy_units + core.parked_units <= core.finish_units
 
     def test_aggregation_byte_identical(self):
         graph = erdos_renyi_graph(40, 110, n_labels=3, seed=9)
-        views = {}
-        for scheduler in ("event", "poll"):
-            views[scheduler] = _motif_census(
-                graph, _config(True, True, scheduler=scheduler)
-            )
-        assert views["event"] == views["poll"]
+        config = _config(True, True, fault_plan=FAULT_PLAN)
+        first = _motif_census(graph, config)
+        assert _motif_census(graph, config) == first
+        assert _motif_census(graph, "sequential") == first
 
-    def test_event_pops_fewer_events(self):
-        """Parking must eliminate the poll loop's busy-wait pops."""
-        graph = powerlaw_graph(80, attach=4, seed=11)
-        counts = {}
-        for scheduler in ("event", "poll"):
-            config = ClusterConfig(
-                workers=2,
-                cores_per_worker=3,
-                ws_internal=False,
-                ws_external=False,
-                scheduler=scheduler,
-            )
-            report = _clique_fractoid(graph, config).execute(collect="count")
-            counts[scheduler] = report.metrics.scheduler_events
-        assert counts["event"] < counts["poll"]
+    @staticmethod
+    def _sched(ws_int=True, ws_ext=True, fail_at=None):
+        """A 2x2 cluster's cores and scheduler state, outside any run."""
+        config = ClusterConfig(
+            workers=2,
+            cores_per_worker=2,
+            ws_internal=ws_int,
+            ws_external=ws_ext,
+            fail_at=fail_at,
+        )
+        frac = (
+            FractalContext()
+            .from_graph(erdos_renyi_graph(20, 40, seed=1))
+            .vfractoid()
+            .expand(2)
+        )
+        engine = ClusterEngine(config)
+        cores = engine._build_cores(
+            frac.fractal_graph.graph,
+            frac._strategy_factory,
+            frac.fractal_graph.context.interner,
+            {},
+        )
+        runtime = _FaultRuntime(config, config.cost_model)
+        heap = []
+        return cores, _SchedState(config, cores, runtime, heap), heap
+
+    @pytest.mark.parametrize("ws_int,ws_ext", WS_CONFIGS)
+    def test_publish_wakes_reachable_at_publisher_clock(self, ws_int, ws_ext):
+        cores, sched, heap = self._sched(ws_int, ws_ext)
+        for core, clock in zip(cores[1:], (3.0, 5.0, 20.0)):
+            core.clock = clock
+            sched.park(core)
+        publisher = cores[0]
+        publisher.clock = 12.0
+        publisher.stack.append(SubgraphEnumerator((), [1, 2, 3], 1))
+        sched.publish(publisher)
+        # Core 1 shares core 0's worker; cores 2 and 3 are remote.
+        reachable = [c.core_id for c in cores[1:2] if ws_int] + [
+            c.core_id for c in cores[2:] if ws_ext
+        ]
+        wake_at = {1: 12.0, 2: 12.0, 3: 20.0}
+        assert sorted(heap) == sorted((wake_at[i], i) for i in reachable)
+        for core in cores[1:]:
+            woken = core.core_id in reachable
+            assert core.metrics.wake_events == int(woken)
+            expected = wake_at[core.core_id] - core.park_start if woken else 0.0
+            assert core.metrics.parked_units == expected
+        assert sorted(sched.parked) == sorted(
+            i for i in (1, 2, 3) if i not in reachable
+        )
+
+    def test_drain_retires_parked_at_latest_clock(self):
+        cores, sched, heap = self._sched(fail_at={2: 30.0, 3: 50.0})
+        for core, clock in zip(cores, (40.0, 10.0, 15.0, 20.0)):
+            core.clock = clock
+        for core in cores[1:]:
+            sched.park(core)
+        sched.retire_parked()
+        assert heap == [] and sched.parked == {}
+        assert [c.clock for c in cores] == [40.0] * 4
+        assert [c.metrics.parked_units for c in cores] == [0.0, 30.0, 25.0, 20.0]
+        # Core 2's deadline passed while it waited; core 3's did not.
+        assert [c.failed for c in cores] == [False, False, True, False]
 
     def test_parking_metered(self):
         graph = powerlaw_graph(80, attach=4, seed=11)
@@ -300,6 +349,77 @@ class TestExactReplay:
         assert summary["parked_units"] > 0.0
         # With stealing disabled nothing publishes work to a parked core.
         assert summary["wake_events"] == 0
+
+    @pytest.mark.parametrize("ws_int,ws_ext", WS_CONFIGS)
+    @pytest.mark.parametrize("death", ["parked", "hidden"])
+    def test_orphans_recovered_after_detection(
+        self, monkeypatch, ws_int, ws_ext, death
+    ):
+        """Core 0 hoards every root in one non-stealable frame and dies.
+
+        The other cores find nothing to steal.  If they parked before the
+        death (``"parked"``), the death wakes every reachable one at the
+        detection point; if core 0 dies first (``"hidden"``), each is
+        queued at that point instead.  Either way the first orphan steal
+        runs exactly at ``detect_at`` and none before it.  With stealing
+        off the driver resubmits the orphans.
+        """
+        graph = erdos_renyi_graph(60, 150, seed=4)
+        original = ClusterEngine._distribute_roots
+
+        def hoard_roots(engine, cores, primitives, root_words):
+            setup = original(engine, cores, primitives, root_words)
+            index = cores[0].stack[0].primitive_index
+            words = sorted(w for c in cores for w in c.stack[0].extensions)
+            for core in cores:
+                core.stack.clear()
+            cores[0].stack.append(
+                SubgraphEnumerator((), words, index, stealable=False)
+            )
+            return setup
+
+        orphan_steals = []
+        transfer = ClusterEngine._transfer
+
+        def spy_transfer(engine, thief, frame, units, runtime, victim, *rest):
+            if victim.failed:
+                orphan_steals.append((thief.clock, victim.detect_at))
+            return transfer(engine, thief, frame, units, runtime, victim, *rest)
+
+        monkeypatch.setattr(ClusterEngine, "_distribute_roots", hoard_roots)
+        monkeypatch.setattr(ClusterEngine, "_transfer", spy_transfer)
+        fail_at = {0: 100.0 if death == "parked" else 0.0}
+        config = ClusterConfig(
+            workers=2,
+            cores_per_worker=2,
+            ws_internal=ws_int,
+            ws_external=ws_ext,
+            fail_at=fail_at,
+        )
+        # One Expand level: core 0 never publishes a stealable frame.
+        report = (
+            FractalContext(engine=config)
+            .from_graph(graph)
+            .vfractoid()
+            .expand(1)
+            .execute(collect="count")
+        )
+        assert report.result_count == graph.n_vertices
+        assert report.metrics.failures_injected == 1
+        assert report.metrics.reenumerated_frames > 0
+        if not (ws_int or ws_ext):
+            assert orphan_steals == []
+            assert report.metrics.wake_events == 0
+            return
+        detect_at = orphan_steals[0][1]
+        assert min(clock for clock, _ in orphan_steals) == detect_at
+        woken = report.metrics.wake_events
+        if death == "parked":
+            # Every reachable parked core woke on the death.
+            reachable = ws_int + 2 * ws_ext
+            assert woken >= reachable
+        else:
+            assert woken == 0
 
 
 class TestRootMetering:
